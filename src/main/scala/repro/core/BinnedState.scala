@@ -26,6 +26,9 @@ trait BinLogic[K, V, O] {
     *
     * @param out    emit an output (attributed the record's completion time)
     * @param notify schedule a post-dated record `(t', rec)` with `t' > time`
+    *
+    * `out` and `notify` refer to the record being applied, so they may be
+    * called only during this call.
     */
   def fold(time: Long, rec: Rec[K, V], state: St, out: O => Unit, notify: (Long, Rec[K, V]) => Unit): St
 
@@ -33,42 +36,109 @@ trait BinLogic[K, V, O] {
   def stateBytes(state: St): Long = 64L
 }
 
-/** The extended notificator of §4.3: pending `(time, key, val)` triples in a
-  * priority queue, replayable for times not in advance of a frontier, and
-  * migrateable alongside its bin's state.
+/** The extended notificator of §4.3: pending `(time, key, val)` triples,
+  * replayable for times not in advance of a frontier, and migrateable
+  * alongside its bin's state.
+  *
+  * A binary min-heap keyed on `(time, seq)` over primitive arrays: `seq`
+  * breaks timestamp ties, and the engine passes an engine-global insertion
+  * counter, so replay order is total and deterministic. The arrays are
+  * allocated on the first [[schedule]]: an engine builds one notificator per
+  * bin, and most bins never schedule anything.
   */
 final class Notificator[K, V] {
-  private implicit val ord: Ordering[(Long, Long, Rec[K, V])] =
-    Ordering.by[(Long, Long, Rec[K, V]), (Long, Long)](e => (-e._1, -e._2))
-  private val queue = mutable.PriorityQueue.empty[(Long, Long, Rec[K, V])]
+  private var times = Array.emptyLongArray
+  private var seqs  = Array.emptyLongArray
+  private var recs  = Array.emptyObjectArray
+  private var n     = 0
 
   /** Schedule a post-dated record; `seq` breaks timestamp ties FIFO so that
     * replay order is deterministic (engine-global insertion order).
     */
-  def schedule(t: Long, rec: Rec[K, V], seq: Long = 0L): Unit = queue.enqueue((t, seq, rec))
+  def schedule(t: Long, rec: Rec[K, V], seq: Long = 0L): Unit = {
+    if (n == times.length) {
+      val cap = math.max(8, n * 2)
+      times = java.util.Arrays.copyOf(times, cap)
+      seqs = java.util.Arrays.copyOf(seqs, cap)
+      recs = java.util.Arrays.copyOf(recs, cap)
+    }
+    var i = n
+    n += 1
+    while (i > 0 && { val p = (i - 1) >>> 1; t < times(p) || (t == times(p) && seq < seqs(p)) }) {
+      val p = (i - 1) >>> 1
+      times(i) = times(p); seqs(i) = seqs(p); recs(i) = recs(p)
+      i = p
+    }
+    times(i) = t; seqs(i) = seq; recs(i) = rec
+  }
 
-  def isEmpty: Boolean = queue.isEmpty
-  def size: Int        = queue.size
-  def minTime: Long    = if (queue.isEmpty) Long.MaxValue else queue.head._1
+  def isEmpty: Boolean = n == 0
+  def size: Int        = n
+  def minTime: Long    = if (n == 0) Long.MaxValue else times(0)
+
+  /** The least `seq` among the triples at [[minTime]]; call only when non-empty. */
+  def minSeq: Long = seqs(0)
+
+  /** The record with the least `(time, seq)`; call only when non-empty. */
+  def minRec: Rec[K, V] = recs(0).asInstanceOf[Rec[K, V]]
+
+  /** Remove the least triple (see [[minTime]] and [[minRec]]). */
+  def removeMin(): Unit = {
+    n -= 1
+    val t = times(n)
+    val s = seqs(n)
+    val r = recs(n)
+    recs(n) = null
+    var i    = 0
+    var done = n == 0
+    while (!done) {
+      val l = 2 * i + 1
+      if (l >= n) done = true
+      else {
+        val c = if (l + 1 < n && (times(l + 1) < times(l) || (times(l + 1) == times(l) && seqs(l + 1) < seqs(l)))) l + 1 else l
+        if (times(c) < t || (times(c) == t && seqs(c) < s)) {
+          times(i) = times(c); seqs(i) = seqs(c); recs(i) = recs(c)
+          i = c
+        } else done = true
+      }
+    }
+    if (n > 0) { times(i) = t; seqs(i) = s; recs(i) = r }
+  }
+
+  /** Move every triple with time strictly below `frontier` into `into`;
+    * returns the total weight of the records moved.
+    */
+  def drainInto(frontier: Long, into: Notificator[K, V]): Long = {
+    var weight = 0L
+    while (n > 0 && times(0) < frontier) {
+      val r = minRec
+      into.schedule(times(0), r, seqs(0))
+      removeMin()
+      weight += r.weight
+    }
+    weight
+  }
 
   /** Remove and return all triples with time strictly below `frontier`, in
     * (timestamp, insertion) order.
     */
-  def drain(frontier: Long): Seq[(Long, Long, Rec[K, V])] = {
+  def drain(frontier: Long): Seq[(Long, Long, Rec[K, V])] = drainWhile(_ < frontier)
+
+  /** Remove everything, in (timestamp, insertion) order. */
+  def drainAll(): Seq[(Long, Long, Rec[K, V])] = drainWhile(_ => true)
+
+  private def drainWhile(due: Long => Boolean): Seq[(Long, Long, Rec[K, V])] = {
     val out = mutable.ArrayBuffer.empty[(Long, Long, Rec[K, V])]
-    while (queue.nonEmpty && queue.head._1 < frontier) out += queue.dequeue()
+    while (n > 0 && due(times(0))) { out += ((times(0), seqs(0), minRec)); removeMin() }
     out.toSeq
   }
-
-  /** Remove everything (used when migrating the bin). */
-  def drainAll(): Seq[(Long, Long, Rec[K, V])] = queue.dequeueAll
 }
 
 /** One bin: a group of keys' states plus the bin's pending post-dated records.
   * This is the unit of migration.
   */
 final class Bin[K, V, O](val id: Int, val logic: BinLogic[K, V, O]) {
-  val states: mutable.HashMap[K, logic.St] = mutable.HashMap.empty
+  val states  = new BinStates[K, logic.St]
   val pending = new Notificator[K, V]
 
   /** Extra bytes this bin represents beyond live `states` entries — used by
@@ -80,8 +150,67 @@ final class Bin[K, V, O](val id: Int, val logic: BinLogic[K, V, O]) {
     modeledBytes + states.valuesIterator.map(logic.stateBytes).sum + 64L * pending.size
 
   def apply(time: Long, rec: Rec[K, V], out: O => Unit, notify: (Long, Rec[K, V]) => Unit): Unit = {
-    val st  = states.getOrElseUpdate(rec.key, logic.init(rec.key))
-    val st2 = logic.fold(time, rec, st, out, notify)
-    states(rec.key) = st2
+    var i = states.indexOf(rec.key)
+    if (i < 0) i = states.insert(rec.key, logic.init(rec.key))
+    states.setValueAt(i, logic.fold(time, rec, states.valueAt(i), out, notify))
+  }
+}
+
+/** A bin's per-key states: open addressing with linear probing on a mixed
+  * hash. The keys of one bin agree in `key % bins`, so a table indexed by the
+  * low bits of `key.##`, as `mutable.HashMap` is, chains them all into one
+  * bucket. Keys are never removed. The arrays are allocated on the first
+  * insert.
+  */
+final class BinStates[K, S] {
+  // Keys and values by slot; a null key marks a free slot.
+  private var ks = Array.emptyObjectArray
+  private var vs = Array.emptyObjectArray
+  private var n  = 0
+
+  /** Slot of `k`, or -1 when absent. */
+  def indexOf(k: K): Int = if (n == 0) -1 else { val i = slot(k); if (ks(i) == null) -1 else i }
+
+  def valueAt(i: Int): S             = vs(i).asInstanceOf[S]
+  def setValueAt(i: Int, v: S): Unit = vs(i) = v.asInstanceOf[AnyRef]
+
+  /** Add an absent key; returns its slot. */
+  def insert(k: K, v: S): Int = {
+    if (2 * (n + 1) > ks.length) grow()
+    val i = slot(k)
+    ks(i) = k.asInstanceOf[AnyRef]
+    vs(i) = v.asInstanceOf[AnyRef]
+    n += 1
+    i
+  }
+
+  def get(k: K): Option[S] = { val i = indexOf(k); if (i < 0) None else Some(valueAt(i)) }
+  def apply(k: K): S       = get(k).getOrElse(throw new NoSuchElementException(s"key not found: $k"))
+  def size: Int            = n
+  def isEmpty: Boolean     = n == 0
+
+  def iterator: Iterator[(K, S)] =
+    ks.indices.iterator.filter(ks(_) != null).map(i => (ks(i).asInstanceOf[K], valueAt(i)))
+
+  def valuesIterator: Iterator[S] = iterator.map(_._2)
+
+  private def slot(k: Any): Int = {
+    val mask = ks.length - 1
+    val h    = k.## * 0x9E3779B9
+    var i    = (h ^ (h >>> 16)) & mask
+    while (ks(i) != null && ks(i) != k) i = (i + 1) & mask
+    i
+  }
+
+  private def grow(): Unit = {
+    val oldKeys = ks
+    val oldVals = vs
+    ks = new Array[AnyRef](math.max(8, oldKeys.length * 2))
+    vs = new Array[AnyRef](ks.length)
+    var j = 0
+    while (j < oldKeys.length) {
+      if (oldKeys(j) != null) { val i = slot(oldKeys(j)); ks(i) = oldKeys(j); vs(i) = oldVals(j) }
+      j += 1
+    }
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
-import repro.timely.{Net, Probe, Sim, SimWorker, Tracker}
-import scala.collection.mutable
+import repro.timely.{Net, Sim, SimWorker, Tracker}
+import scala.collection.{immutable, mutable}
 
 /** The Megaphone construction of §3.4 over the simulated timely substrate.
   *
@@ -44,7 +44,7 @@ final class MegaphoneEngine[K, V, O](
   val net                       = new Net(sim, cost.netBytesPerNs, cost.netLatencyNs)
   val main                      = new Tracker("main")
   val control                   = new Tracker("control")
-  val probe                     = new Probe("s-output")
+  val probe                     = new Tracker("s-output")
 
   /** Bytes of one data record on the wire. */
   val dataBytesPerRecord = 16L
@@ -66,17 +66,17 @@ final class MegaphoneEngine[K, V, O](
 
   private val initialOwner: Array[Int] = assignTable.clone()
 
-  /** Time-dependent configuration function: per-bin update history. */
-  private val binHistory = mutable.HashMap.empty[Int, java.util.TreeMap[Long, Int]]
+  /** Time-dependent configuration function: per-bin update history, null
+    * for a bin that never received an update.
+    */
+  private val binHistory = new Array[BinHistory](numBins)
 
   /** configuration(time, bin) → worker (§3.2). */
-  def route(time: Long, bin: Int): Int =
-    binHistory.get(bin) match {
-      case None => initialOwner(bin)
-      case Some(h) =>
-        val e = h.floorEntry(time)
-        if (e == null) initialOwner(bin) else e.getValue
-    }
+  def route(time: Long, bin: Int): Int = {
+    val h = binHistory(bin)
+    val w = if (h == null) -1 else h.ownerAt(time)
+    if (w < 0) initialOwner(bin) else w
+  }
 
   /** Current owner per the latest ingested configuration. */
   def currentOwner(bin: Int): Int = assignTable(bin)
@@ -92,32 +92,84 @@ final class MegaphoneEngine[K, V, O](
     while (b < numBins) {
       val bin = new Bin[K, V, O](b, logic)
       bin.modeledBytes = modeledBytesPerBin
-      sOps(assignTable(b)).bins(b) = bin
+      sOps(assignTable(b)).add(bin)
       b += 1
     }
   }
 
-  def stateBytesOfWorker(w: Int): Long = sOps(w).bins.valuesIterator.map(_.sizeBytes).sum
+  def stateBytesOfWorker(w: Int): Long = sOps(w).ownedBins.map(_.sizeBytes).sum
 
   // -------------------------------------------------------------- operators
+
+  /** Input records buffered at S for one time, and the number of messages
+    * (probe holds) that brought them.
+    */
+  final class Pending {
+    val recs = mutable.ArrayBuffer.empty[Rec[K, V]]
+    var msgs = 0L
+  }
 
   /** State-hosting operator S: installs migrated bins and applies records in
     * timestamp order once not in advance of its input frontier (§3.4).
     */
   final class SOp(val worker: Int) {
-    val bins = mutable.HashMap.empty[Int, Bin[K, V, O]]
+    /** Bins by id; null where this worker does not own the bin. */
+    val bins          = new Array[Bin[K, V, O]](numBins)
+    private var owned = 0
 
-    /** Buffered input: time → (records, number of probe holds to release). */
-    val pendingInput = new java.util.TreeMap[Long, (mutable.ArrayBuffer[Rec[K, V]], Array[Long])]()
+    def ownedBins: Iterator[Bin[K, V, O]] = bins.iterator.filter(_ != null)
 
-    /** Post-dated records pending across this S's bins (loop guard). */
-    private[core] var notifyCount = 0L
-    private var applyQueued       = false
+    /** Buffered input: time → records and the number of probe holds. */
+    val pendingInput = new java.util.TreeMap[Long, Pending]()
+
+    /** Wake-ups for post-dated work, as `(time, bin id)` pairs (the bin id in
+      * the `seq` slot, no record): every owned bin with pending records has an
+      * entry no later than its earliest one, so finding the due bins costs
+      * O(due) rather than a scan of every bin.
+      */
+    private val wakeups     = new Notificator[K, V]
+    private var applyQueued = false
+    private var applying    = false
+
+    // The batch an apply task works on. At most one task is queued per S, so
+    // the buffers are reused: input records in time order (FIFO within a
+    // time), the due post-dated records in a heap keyed on (time, seq), and
+    // the probe holds of the input messages, released after the batch.
+    private var inTimes   = new Array[Long](16)
+    private var inRecs    = new Array[Rec[K, V]](16)
+    private var inCount   = 0
+    private val due       = new Notificator[K, V]
+    private var holdTimes = new Array[Long](4)
+    private var holdMsgs  = new Array[Long](4)
+    private var holdCount = 0
+
+    // The record being applied, read by `emit` and `post`, which are
+    // allocated once per S rather than once per record.
+    private var curT    = 0L
+    private var curDone = 0L
+    private var curRec: Rec[K, V]    = _
+    private var curBin: Bin[K, V, O] = _
+
+    private val emit: O => Unit = o => if (onOutput != null) onOutput(curDone, curT, o, curRec.weight)
+
+    private val post: (Long, Rec[K, V]) => Unit = (t2, r2) => {
+      if (t2 <= curT) throw new IllegalArgumentException(s"notify must be post-dated: $t2 <= $curT")
+      if (binOf(r2.key) != curBin.id) throw new IllegalArgumentException("post-dated records stay in their key's bin")
+      notifySeq += 1
+      if (t2 < curBin.pending.minTime) wakeups.schedule(t2, null, curBin.id)
+      curBin.pending.schedule(t2, r2, notifySeq)
+      probe.hold(t2)
+    }
+
+    private[core] def add(bin: Bin[K, V, O]): Unit = {
+      if (bins(bin.id) == null) owned += 1
+      bins(bin.id) = bin
+    }
 
     def receive(t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      val slot = pendingInput.computeIfAbsent(t, _ => (mutable.ArrayBuffer.empty, Array(0L)))
-      slot._1 ++= recs
-      slot._2(0) += 1L
+      val slot = pendingInput.computeIfAbsent(t, _ => new Pending)
+      slot.recs ++= recs
+      slot.msgs += 1L
       // The in-flight message's pointstamp moves from `main` into S-internal
       // pending: S's *input* frontier may now pass t (which is exactly what
       // makes the records applicable) while `probe` — S's output — still
@@ -126,8 +178,8 @@ final class MegaphoneEngine[K, V, O](
     }
 
     def install(t: Long, bin: Bin[K, V, O]): Unit = {
-      bins(bin.id) = bin
-      notifyCount += bin.pending.size
+      add(bin)
+      if (!bin.pending.isEmpty) wakeups.schedule(bin.pending.minTime, null, bin.id)
       // Probe holds for the bin's post-dated records persist across the
       // migration (the state message's pointstamp at t <= all pending times
       // kept the frontier from passing them in transit).
@@ -136,78 +188,113 @@ final class MegaphoneEngine[K, V, O](
     }
 
     def uninstall(binId: Int): Bin[K, V, O] = {
-      val bin = bins.remove(binId).get
-      notifyCount -= bin.pending.size
+      val bin = bins(binId)
+      if (bin == null) throw new IllegalStateException(s"worker $worker cannot uninstall bin $binId: it does not own it")
+      bins(binId) = null
+      owned -= 1
       bin
     }
 
     def tryApply(): Unit = {
       if (applyQueued) return
+      if (applying) throw new IllegalStateException(s"worker $worker: tryApply re-entered while applying a batch")
       val f = main.frontier
-      if ((pendingInput.isEmpty || pendingInput.firstKey() >= f) && notifyCount == 0) return
+      if ((pendingInput.isEmpty || pendingInput.firstKey() >= f) && wakeups.minTime >= f) return
 
-      val inputWork  = mutable.ArrayBuffer.empty[(Long, Rec[K, V])]
-      val holdCounts = mutable.ArrayBuffer.empty[(Long, Long)]
+      var weight = 0L
       while (!pendingInput.isEmpty && pendingInput.firstKey() < f) {
-        val t    = pendingInput.firstKey()
-        val slot = pendingInput.pollFirstEntry().getValue
-        slot._1.foreach(r => inputWork += ((t, r)))
-        holdCounts += ((t, slot._2(0)))
-      }
-      val notifyWork = mutable.ArrayBuffer.empty[(Long, Long, Rec[K, V])]
-      if (notifyCount > 0) {
-        bins.valuesIterator.foreach { bin =>
-          if (bin.pending.minTime < f) notifyWork ++= bin.pending.drain(f)
+        val e    = pendingInput.pollFirstEntry()
+        val t    = e.getKey
+        val recs = e.getValue.recs
+        var i    = 0
+        while (i < recs.length) {
+          val r = recs(i)
+          if (inCount == inRecs.length) {
+            inTimes = java.util.Arrays.copyOf(inTimes, inCount * 2)
+            inRecs = java.util.Arrays.copyOf(inRecs, inCount * 2)
+          }
+          inTimes(inCount) = t
+          inRecs(inCount) = r
+          inCount += 1
+          weight += r.weight
+          i += 1
         }
-        notifyCount -= notifyWork.size
+        if (holdCount == holdTimes.length) {
+          holdTimes = java.util.Arrays.copyOf(holdTimes, holdCount * 2)
+          holdMsgs = java.util.Arrays.copyOf(holdMsgs, holdCount * 2)
+        }
+        holdTimes(holdCount) = t
+        holdMsgs(holdCount) = e.getValue.msgs
+        holdCount += 1
       }
-      if (inputWork.isEmpty && notifyWork.isEmpty) return
+      while (wakeups.minTime < f) {
+        val b = wakeups.minSeq.toInt
+        wakeups.removeMin()
+        val bin = bins(b) // null once the bin migrated away
+        if (bin != null && bin.pending.minTime < f) {
+          weight += bin.pending.drainInto(f, due)
+          if (!bin.pending.isEmpty) wakeups.schedule(bin.pending.minTime, null, b)
+        }
+      }
+      if (inCount == 0 && due.isEmpty) return
       applyQueued = true
 
-      var recCost = 0.0
-      inputWork.foreach { case (_, r) => recCost += r.weight * cost.perRecordNs }
-      notifyWork.foreach { case (_, _, r) => recCost += r.weight * cost.perRecordNs }
-      val scanCost = bins.size * cost.binScanNs(numBins.toLong)
-      val total    = (recCost + scanCost).toLong
+      // Charged on the batch's total weight: with integer weights and an
+      // integer-valued perRecordNs this equals the sum of per-record charges.
+      val recCost  = weight * cost.perRecordNs
+      val scanCost = owned * cost.binScanNs(numBins.toLong)
+      workers(worker).exec((recCost + scanCost).toLong)(applyBatch)
+    }
 
-      workers(worker).exec(total) { done =>
-        applyQueued = false
-        // Apply in timestamp order across both sources (§3.2: sequential,
-        // timestamp-ordered application per key): same-time input records
-        // come before post-dated ones (which were scheduled strictly earlier
-        // and become due together), and post-dated ties replay FIFO.
-        val all =
-          (inputWork.iterator.map { case (t, r) => (t, r, true, 0L) } ++
-            notifyWork.iterator.map { case (t, s, r) => (t, r, false, s) }).toArray
-        scala.util.Sorting.stableSort(
-          all,
-          (a: (Long, Rec[K, V], Boolean, Long), b: (Long, Rec[K, V], Boolean, Long)) =>
-            a._1 < b._1 || (a._1 == b._1 && ((a._3 && !b._3) || (a._3 == b._3 && a._4 < b._4))),
-        )
-        all.foreach { case (t, r, fromInput, _) =>
-          val binId = binOf(r.key)
-          if (onApply != null) onApply(t, r.key, worker)
-          val bin = bins.getOrElseUpdate(binId, new Bin[K, V, O](binId, logic))
-          bin.apply(
-            t,
-            r,
-            o => if (onOutput != null) onOutput(done, t, o, r.weight),
-            (t2, r2) => {
-              require(t2 > t, s"notify must be post-dated: $t2 <= $t")
-              require(binOf(r2.key) == binId, "post-dated records stay in their key's bin")
-              notifySeq += 1
-              bin.pending.schedule(t2, r2, notifySeq)
-              notifyCount += 1
-              probe.hold(t2)
-            },
-          )
-          if (fromInput && onLatency != null)
+    /** Apply the queued batch in timestamp order across both sources (§3.2:
+      * sequential, timestamp-ordered application per key): same-time input
+      * records come before post-dated ones (which were scheduled strictly
+      * earlier and become due together), and post-dated ties replay in
+      * engine-global `seq` order.
+      */
+    private def applyBatch(done: Long): Unit = {
+      applyQueued = false
+      applying = true
+      curDone = done
+      var i = 0
+      while (i < inCount || !due.isEmpty) {
+        if (i < inCount && (due.isEmpty || inTimes(i) <= due.minTime)) {
+          val t = inTimes(i)
+          val r = inRecs(i)
+          inRecs(i) = null
+          i += 1
+          applyOne(t, r)
+          if (onLatency != null)
             onLatency(math.max(0L, done - (t + cost.epochNs)), math.max(1L, done - t), r.weight)
-          if (!fromInput) probe.release(t) // the post-dated record's hold
+        } else {
+          val t = due.minTime
+          val r = due.minRec
+          due.removeMin()
+          applyOne(t, r)
+          probe.release(t) // the post-dated record's hold
         }
-        holdCounts.foreach { case (t, n) => probe.release(t, n) }
-        tryApply() // post-dated work may have become due meanwhile
       }
+      inCount = 0
+      curRec = null
+      curBin = null
+      var h = 0
+      while (h < holdCount) { probe.release(holdTimes(h), holdMsgs(h)); h += 1 }
+      holdCount = 0
+      applying = false
+      tryApply() // post-dated work may have become due meanwhile
+    }
+
+    private def applyOne(t: Long, r: Rec[K, V]): Unit = {
+      val binId = binOf(r.key)
+      if (onApply != null) onApply(t, r.key, worker)
+      val bin = bins(binId)
+      if (bin == null)
+        throw new IllegalStateException(
+          s"record at time $t with key ${r.key} (bin $binId) reached worker $worker, which does not own the bin")
+      curT = t
+      curRec = r
+      curBin = bin
+      bin.apply(t, r, emit, post)
     }
   }
 
@@ -219,8 +306,16 @@ final class MegaphoneEngine[K, V, O](
     /** Records whose time is in advance of the control frontier. */
     val buffered = new java.util.TreeMap[Long, mutable.ArrayBuffer[Rec[K, V]]]()
 
+    // Per-batch scratch: the records, each one's destination, and the number
+    // of records per destination.
+    private var batch = new Array[Rec[K, V]](16)
+    private var dstOf = new Array[Int](16)
+    private val count = new Array[Int](numWorkers)
+
     def receive(t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      val weight = recs.iterator.map(_.weight).sum
+      var weight = 0L
+      val it     = recs.iterator
+      while (it.hasNext) weight += it.next().weight
       workers(worker).exec((weight * cost.routeNs).toLong) { _ =>
         if (t < control.frontier) routeNow(t, recs)
         else buffered.computeIfAbsent(t, _ => mutable.ArrayBuffer.empty) ++= recs
@@ -228,13 +323,40 @@ final class MegaphoneEngine[K, V, O](
     }
 
     private def routeNow(t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      val byDst = recs.groupBy(r => route(t, binOf(r.key)))
-      holdBoth(t, byDst.size.toLong)
-      main.release(t); probe.release(t) // the single batch hold splits per destination
-      byDst.foreach { case (dst, rs) =>
-        val bytes = rs.iterator.map(_.weight).sum * dataBytesPerRecord
-        net.send(worker, dst, bytes)(_ => sOps(dst).receive(t, rs))
+      var n  = 0
+      val it = recs.iterator
+      while (it.hasNext) {
+        val r = it.next()
+        if (n == batch.length) {
+          batch = java.util.Arrays.copyOf(batch, 2 * n)
+          dstOf = java.util.Arrays.copyOf(dstOf, 2 * n)
+        }
+        val d = route(t, binOf(r.key))
+        batch(n) = r
+        dstOf(n) = d
+        count(d) += 1
+        n += 1
       }
+      val dsts = sendOrder(count)
+      holdBoth(t, dsts.length.toLong)
+      main.release(t); probe.release(t) // the single batch hold splits per destination
+      var k = 0
+      while (k < dsts.length) {
+        val dst    = dsts(k)
+        val rs     = new Array[Rec[K, V]](count(dst))
+        var weight = 0L
+        var i      = 0
+        var j      = 0
+        while (j < rs.length) {
+          if (dstOf(i) == dst) { rs(j) = batch(i); weight += rs(j).weight; j += 1 }
+          i += 1
+        }
+        count(dst) = 0
+        val msg = immutable.ArraySeq.unsafeWrapArray(rs)
+        net.send(worker, dst, weight * dataBytesPerRecord)(_ => sOps(dst).receive(t, msg))
+        k += 1
+      }
+      java.util.Arrays.fill(batch.asInstanceOf[Array[AnyRef]], 0, n, null)
     }
 
     def onControlAdvance(f: Long): Unit =
@@ -245,6 +367,32 @@ final class MegaphoneEngine[K, V, O](
         // buffer is a lookup we fold into scheduling noise.
         routeNow(t, recs.toSeq)
       }
+  }
+
+  /** Destinations with a nonzero `count`, in the order in which the
+    * `immutable.HashMap` built by `groupBy` iterates them. Sends leave in this
+    * order and queue at the NIC in it, so it is part of the simulated output.
+    * The order depends only on the set of destinations; it is cached per set.
+    */
+  private[core] def sendOrder(count: Array[Int]): Array[Int] = {
+    var mask = 0L
+    var w    = 0
+    while (w < numWorkers) { if (count(w) > 0) mask |= 1L << (w & 63); w += 1 }
+    if (numWorkers > 64) groupByOrder(count)
+    else {
+      val cached = sendOrders.getOrNull(mask)
+      if (cached != null) cached
+      else { val order = groupByOrder(count); sendOrders(mask) = order; order }
+    }
+  }
+
+  private val sendOrders = mutable.LongMap.empty[Array[Int]]
+
+  private def groupByOrder(count: Array[Int]): Array[Int] = {
+    val present = (0 until numWorkers).filter(count(_) > 0)
+    val order   = mutable.ArrayBuffer.empty[Int]
+    immutable.HashMap.from(present.map(_ -> ())).foreach { case (w, _) => order += w }
+    order.toArray
   }
 
   val sOps: Array[SOp] = Array.tabulate(numWorkers)(new SOp(_))
@@ -279,7 +427,8 @@ final class MegaphoneEngine[K, V, O](
     */
   private def ingestUpdate(t: Long, bin: Int, newWorker: Int): Unit = {
     val oldWorker = assignTable(bin)
-    binHistory.getOrElseUpdate(bin, new java.util.TreeMap[Long, Int]()).put(t, newWorker)
+    if (binHistory(bin) == null) binHistory(bin) = new BinHistory
+    binHistory(bin).put(t, newWorker)
     assignTable(bin) = newWorker
     if (oldWorker != newWorker) {
       migrationLog += Migration(t, bin, oldWorker, newWorker)
@@ -323,7 +472,7 @@ final class MegaphoneEngine[K, V, O](
     def capability: Long = cap
 
     def send(w: Int, t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      require(open && t >= cap, s"send at $t behind capability $cap (open=$open)")
+      if (!open || t < cap) throw new IllegalArgumentException(s"send at $t behind capability $cap (open=$open)")
       holdBoth(t)
       fOps(w).receive(t, recs)
     }
@@ -386,4 +535,37 @@ final class MegaphoneEngine[K, V, O](
       next(rng.between(1L, cost.hiccupEveryNs + 1))
     }
   }
+}
+
+/** One bin's configuration updates, ascending by time, in primitive arrays. */
+private[core] final class BinHistory {
+  private var times  = new Array[Long](2)
+  private var owners = new Array[Int](2)
+  private var n      = 0
+
+  /** Record that the bin belongs to `worker` from time `t` on. */
+  def put(t: Long, worker: Int): Unit = {
+    val i = java.util.Arrays.binarySearch(times, 0, n, t)
+    if (i >= 0) owners(i) = worker
+    else {
+      val at = -i - 1
+      if (n == times.length) {
+        times = java.util.Arrays.copyOf(times, n * 2)
+        owners = java.util.Arrays.copyOf(owners, n * 2)
+      }
+      System.arraycopy(times, at, times, at + 1, n - at)
+      System.arraycopy(owners, at, owners, at + 1, n - at)
+      times(at) = t
+      owners(at) = worker
+      n += 1
+    }
+  }
+
+  /** Owner by the latest update at or before `t`, or -1 if there is none. */
+  def ownerAt(t: Long): Int =
+    if (n > 0 && t >= times(n - 1)) owners(n - 1)
+    else {
+      val i = java.util.Arrays.binarySearch(times, 0, n, t)
+      if (i >= 0) owners(i) else if (i == -1) -1 else owners(-i - 2)
+    }
 }

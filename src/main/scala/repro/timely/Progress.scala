@@ -16,7 +16,14 @@ import scala.collection.mutable
   * gate migrations on the output frontier of S.
   */
 final class Tracker(val name: String) {
-  private val counts    = new java.util.TreeMap[Long, Long]()
+  // Outstanding pointstamp counts, plus a binary min-heap of the times in
+  // `counts`. A time whose count drops to zero stays in both until it reaches
+  // the top of the heap, so the heap never holds a time twice and its top is
+  // always the frontier.
+  private val counts = mutable.LongMap.empty[Long]
+  private var heap   = Array.emptyLongArray
+  private var live   = 0
+
   private var listeners = List.empty[Long => Unit]
   private val waiters   = new java.util.TreeMap[Long, List[() => Unit]]()
   private var notifying = false
@@ -24,23 +31,28 @@ final class Tracker(val name: String) {
   /** Current frontier: least outstanding pointstamp, or `Long.MaxValue` when
     * the edge is drained (no message can ever arrive again).
     */
-  def frontier: Long = if (counts.isEmpty) Long.MaxValue else counts.firstKey()
+  def frontier: Long = if (live == 0) Long.MaxValue else heap(0)
 
   /** Register interest in frontier advances. Fired with the new frontier. */
   def onAdvance(f: Long => Unit): Unit = listeners ::= f
 
   /** Hold `n` pointstamps at time `t` (a message send or a capability). */
   def hold(t: Long, n: Long = 1L): Unit = {
-    require(n > 0, s"hold of $n at $t")
-    counts.merge(t, n, (a, b) => a + b)
+    if (n <= 0) throw new IllegalArgumentException(s"requirement failed: hold of $n at $t")
+    val c = counts.getOrElse(t, -1L)
+    if (c < 0) heapPush(t)
+    counts(t) = math.max(c, 0L) + n
   }
 
   /** Release `n` pointstamps at `t`; fires listeners if the frontier moved. */
   def release(t: Long, n: Long = 1L): Unit = {
+    if (n <= 0) throw new IllegalArgumentException(s"requirement failed: release of $n at $t")
     val pre  = frontier
-    val left = counts.merge(t, -n, (a, b) => a + b)
-    require(left >= 0, s"tracker $name: negative count at $t")
-    if (left == 0) counts.remove(t)
+    val left = counts.getOrElse(t, 0L) - n
+    if (left < 0) throw new IllegalArgumentException(s"requirement failed: tracker $name: negative count at $t")
+    counts(t) = left
+    // Drop times whose count reached zero once they are the earliest.
+    while (live > 0 && counts(heap(0)) == 0L) counts -= heapPop()
     maybeNotify(pre)
   }
 
@@ -71,7 +83,8 @@ final class Tracker(val name: String) {
       while (f > prev) {
         prev = f
         // Listeners may register more listeners or move pointstamps.
-        listeners.foreach(_(f))
+        var ls = listeners
+        while (ls.nonEmpty) { ls.head(f); ls = ls.tail }
         // Waiters may hold new (earlier) pointstamps while running — always
         // compare against the *live* frontier, never the snapshot.
         while (!waiters.isEmpty && waiters.firstKey() < frontier) {
@@ -82,25 +95,34 @@ final class Tracker(val name: String) {
       }
     } finally notifying = false
   }
-}
 
-/** A probe mirrors "attach a probe to the output of S": a monotone watermark
-  * computed from a tracker frontier combined with extra holds (e.g. records
-  * pending inside S instances, or apply-tasks in progress).
-  */
-final class Probe(name: String) {
-  private val tracker = new Tracker(name)
+  private def heapPush(t: Long): Unit = {
+    if (live == heap.length) heap = java.util.Arrays.copyOf(heap, math.max(16, live * 2))
+    var i = live
+    live += 1
+    while (i > 0 && t < heap((i - 1) >>> 1)) {
+      heap(i) = heap((i - 1) >>> 1)
+      i = (i - 1) >>> 1
+    }
+    heap(i) = t
+  }
 
-  def hold(t: Long, n: Long = 1L): Unit    = tracker.hold(t, n)
-  def release(t: Long, n: Long = 1L): Unit = tracker.release(t, n)
-  def frontier: Long                       = tracker.frontier
-  def onAdvance(f: Long => Unit): Unit     = tracker.onAdvance(f)
-
-  /** True when `t` is not in advance of the frontier, i.e. all work strictly
-    * before or at `t` has completed ("probe has passed `t`").
-    */
-  def passed(t: Long): Boolean = tracker.passed(t)
-
-  /** Run `action` once the probe passes `t` (possibly immediately). */
-  def whenPassed(t: Long)(action: => Unit): Unit = tracker.whenPassed(t)(action)
+  private def heapPop(): Long = {
+    val top = heap(0)
+    live -= 1
+    val last = heap(live)
+    var i    = 0
+    var done = live == 0
+    while (!done) {
+      val l = 2 * i + 1
+      if (l >= live) done = true
+      else {
+        val c = if (l + 1 < live && heap(l + 1) < heap(l)) l + 1 else l
+        if (heap(c) < last) { heap(i) = heap(c); i = c }
+        else done = true
+      }
+    }
+    if (live > 0) heap(i) = last
+    top
+  }
 }

@@ -103,7 +103,7 @@ object WordCountRig {
     require(engine.probe.frontier == Long.MaxValue, "liveness: output frontier must drain")
 
     val state = (0 until workers)
-      .flatMap(w => engine.sOps(w).bins.valuesIterator.flatMap(_.states.iterator))
+      .flatMap(w => engine.sOps(w).ownedBins.flatMap(_.states.iterator))
       .map { case (k, s) => (k, s.asInstanceOf[Long]) }
       .toMap
     RunOut(outputs.toSeq, applied.toSeq, engine.migrationLog.toSeq.map(m => (m.time, m.bin, m.from, m.to)),
@@ -212,7 +212,7 @@ class EngineSpec extends AnyFunSuite {
     }
     sim.run()
     (0 until B).foreach(b => assert(engine.currentOwner(b) == b % W))
-    (0 until B).foreach(b => assert(engine.sOps(b % W).bins.contains(b)))
+    (0 until B).foreach(b => assert(engine.sOps(b % W).bins(b) != null))
   }
 
   test("determinism: identical runs produce identical outputs") {
@@ -253,5 +253,23 @@ class EngineSpec extends AnyFunSuite {
     engine.controlInput.close()
     sim.run()
     assert(engine.workers.map(_.busyNs).sum > 0)
+  }
+
+  test("a record delivered to a worker that does not own its bin fails loudly") {
+    val sim = new Sim
+    val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
+      sim, 2, 4, CostModel.keyCount.copy(hiccupEveryNs = 0), new SumLogic, k => (k % 4).toInt)
+    engine.initBins()
+    sim.at(0) {
+      // Bin 0 lives at worker 0; deliver its record to worker 1 as if routed there.
+      engine.main.hold(0L); engine.probe.hold(0L)
+      engine.sOps(1).receive(0L, Seq(Rec(0L, 1L)))
+      engine.dataInput.close()
+    }
+    engine.controlInput.close()
+    val e = intercept[IllegalStateException](sim.run())
+    assert(e.getMessage.contains("time 0") && e.getMessage.contains("key 0") &&
+      e.getMessage.contains("bin 0") && e.getMessage.contains("worker 1"), e.getMessage)
+    assert(engine.sOps(1).bins(0) == null, "no bin is created at a non-owner")
   }
 }

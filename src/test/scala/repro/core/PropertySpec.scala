@@ -1,0 +1,86 @@
+package repro.core
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
+import org.scalatest.funsuite.AnyFunSuite
+import repro.timely.Sim
+import scala.collection.mutable
+
+/** Random operation sequences for the notificator heap, the per-bin state
+  * table and F's send order, each checked against a plain reference model.
+  */
+class PropertySpec extends AnyFunSuite {
+
+  private def check(p: Prop): Unit = {
+    val r = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), p)
+    assert(r.passed, Pretty.pretty(r))
+  }
+
+  /** `Some(t)`: schedule at t; `None`: drain below the next generated time. */
+  private val genNotifyOps: Gen[List[(Option[Long], Long)]] =
+    Gen.listOf(for {
+      drain <- Gen.frequency(3 -> false, 1 -> true)
+      t     <- Gen.choose(0L, 20L)
+    } yield (if (drain) None else Some(t), t))
+
+  test("Notificator drains random interleaved schedules in (t, seq) order") {
+    check(Prop.forAll(genNotifyOps) { ops =>
+      val n       = new Notificator[Long, Long]
+      val into    = new Notificator[Long, Long]
+      val ref     = mutable.ArrayBuffer.empty[(Long, Long)]
+      var seq     = 0L
+      var ok      = true
+      ops.zipWithIndex.foreach {
+        case ((Some(t), _), _) =>
+          seq += 1
+          n.schedule(t, Rec(t, seq, weight = seq), seq)
+          ref += ((t, seq))
+        case ((None, f), i) =>
+          val due = ref.filter(_._1 < f).sortBy(identity)
+          ref --= due
+          // Alternate between the two ways of draining.
+          val got =
+            if (i % 2 == 0) n.drain(f).map(x => (x._1, x._2))
+            else {
+              val w = n.drainInto(f, into)
+              ok &&= w == due.map(_._2).sum
+              into.drain(Long.MaxValue).map(x => (x._1, x._2))
+            }
+          ok &&= got == due.toSeq
+      }
+      val rest = n.drainAll().map(x => (x._1, x._2, x._3.value))
+      ok && rest == ref.sortBy(identity).map(x => (x._1, x._2, x._2)).toSeq && n.isEmpty &&
+        n.minTime == Long.MaxValue
+    })
+  }
+
+  test("BinStates matches a reference map under random inserts and updates") {
+    // Keys of one bin share their residue, as under `key % bins`.
+    val genOps = Gen.listOf(for {
+      k <- Gen.choose(0L, 40L).map(_ * 1024 + 7)
+      v <- Gen.choose(0L, 100L)
+    } yield (k, v))
+    check(Prop.forAll(genOps) { ops =>
+      val s   = new BinStates[Long, Long]
+      val ref = mutable.HashMap.empty[Long, Long]
+      ops.foreach { case (k, v) =>
+        val i = s.indexOf(k)
+        if (i < 0) s.insert(k, v) else s.setValueAt(i, s.valueAt(i) + v)
+        ref(k) = ref.getOrElse(k, 0L) + v
+      }
+      s.iterator.toMap == ref.toMap && s.size == ref.size && ref.keys.forall(k => s.get(k).contains(ref(k)))
+    })
+  }
+
+  test("F sends to its destinations in the order of groupBy's map") {
+    val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
+      new Sim, 16, 64, CostModel.keyCount, new WordCountRig.SumLogic, k => (k % 64).toInt)
+    check(Prop.forAll(Gen.nonEmptyListOf(Gen.choose(0, 15))) { dsts =>
+      val count = new Array[Int](16)
+      dsts.foreach(d => count(d) += 1)
+      val expected = mutable.ArrayBuffer.empty[Int]
+      dsts.groupBy(identity).foreach { case (d, _) => expected += d }
+      engine.sendOrder(count).toSeq == expected.toSeq
+    })
+  }
+}

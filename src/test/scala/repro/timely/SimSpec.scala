@@ -221,7 +221,7 @@ class TrackerSpec extends AnyFunSuite {
   }
 
   test("probe passed/whenPassed mirror the tracker semantics") {
-    val p = new Probe("p")
+    val p = new Tracker("s-output")
     p.hold(7)
     assert(p.passed(6) && !p.passed(7))
     var fired = false
