@@ -1,13 +1,15 @@
 package repro.bench
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthData}
 import repro.harness.TextTable
 import repro.sparkmega.SparkMegaphone
 
 /** The Spark micro-batch instantiation under migration: measured per-batch
-  * wall times show the all-at-once spike vs. fluid/batched smoothing on real
-  * Spark shuffles (the repro target's Structured-Streaming-style table).
+  * wall times (medians of repeats) show the all-at-once spike vs.
+  * fluid/batched smoothing on real Spark shuffles (the repro target's
+  * Structured-Streaming-style table).
   */
 class SparkMigrationBench extends SparkSpec {
   import spark.implicits._
@@ -24,28 +26,51 @@ class SparkMigrationBench extends SparkSpec {
       .cache()
   }
 
+  private val Strategies = Seq("all-at-once", "batched", "fluid")
+  private val Repeats    = 3
+
   private final case class Run(strategy: String, batchMs: Seq[Long], migMs: Seq[Long], moved: Seq[Long])
 
+  private def runOnce(strategy: String, batches: Seq[DataFrame], moves: Seq[(Int, Int)]): Run = {
+    val sched = SparkMegaphone.schedule(strategy, moves, MigrateAt, NumBatches - MigrateAt - 1)
+    val eng   = new SparkMegaphone(spark, Bins, Workers)
+    val res   = batches.zipWithIndex.map { case (b, i) => eng.processBatch(b, sched.getOrElse(i, Nil)) }
+    eng.close()
+    Run(strategy, res.map(_.batchMillis), res.map(_.migrateMillis), res.map(_.movedRows))
+  }
+
+  private def median(xs: Seq[Long]): Long = xs.sorted.apply(xs.size / 2)
+
+  /** Per strategy, the per-batch median over `Repeats` runs. An untimed
+    * warm-up run comes first, and each repeat rotates the strategy order, so
+    * that JIT and Spark warm-up are not charged to whichever strategy runs
+    * first.
+    */
   private lazy val runs: Seq[Run] = {
     val batches = mkBatches()
     batches.foreach(_.count()) // materialize inputs outside the timing
     val moves = SparkMegaphone.imbalance(Bins, Workers)
-    val out = Seq("all-at-once", "batched", "fluid").map { strategy =>
-      val sched = SparkMegaphone.schedule(strategy, moves, MigrateAt, NumBatches - MigrateAt - 1)
-      val eng   = new SparkMegaphone(spark, Bins, Workers)
-      val res   = batches.zipWithIndex.map { case (b, i) => eng.processBatch(b, sched.getOrElse(i, Nil)) }
-      eng.close()
-      Run(strategy, res.map(_.batchMillis), res.map(_.migrateMillis), res.map(_.movedRows))
-    }
+    runOnce("batched", batches, moves)
+    val reps = for {
+      r <- 0 until Repeats
+      i <- Strategies.indices
+    } yield runOnce(Strategies((i + r) % Strategies.size), batches, moves)
     batches.foreach(_.unpersist())
-    out
+    Strategies.map { s =>
+      val rs = reps.filter(_.strategy == s)
+      Run(s, rs.map(_.batchMs).transpose.map(median), rs.map(_.migMs).transpose.map(median), rs.head.moved)
+    }
   }
 
   test("Spark: print per-batch wall times per strategy") {
-    println("\n=== Spark micro-batch Megaphone: per-batch wall time [ms] (migration from batch 5) ===")
+    println(s"\n=== Spark micro-batch Megaphone: per-batch wall time [ms], median of $Repeats runs (migration from batch 5) ===")
     println(TextTable.render(
       "batch" +: (0 until NumBatches).map(_.toString),
       runs.map(r => r.strategy +: r.batchMs.map(_.toString)),
+    ))
+    println(TextTable.render(
+      "migration [ms]" +: (0 until NumBatches).map(_.toString),
+      runs.map(r => r.strategy +: r.migMs.map(_.toString)),
     ))
     println(TextTable.render(
       "moved rows" +: (0 until NumBatches).map(_.toString),

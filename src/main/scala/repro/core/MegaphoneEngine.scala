@@ -58,8 +58,8 @@ final class MegaphoneEngine[K, V, O](
 
   // ---------------------------------------------------------------- routing
 
-  /** Assignment after all ingested configuration updates (used to find the
-    * old owner when a new update arrives; strategies send monotone times).
+  /** Assignment after all ingested configuration updates: the old owner of
+    * a new update, since a bin's update times never go backwards.
     */
   private val assignTable: Array[Int] =
     Array.tabulate(numBins)(b => if (initialAssignment == null) b % numWorkers else initialAssignment(b))
@@ -423,12 +423,16 @@ final class MegaphoneEngine[K, V, O](
 
   /** Ingest one configuration update (time, bin, worker). The simulation
     * keeps one shared routing table (§3.5: "although each F maintains its own
-    * routing table … we present one for clarity").
+    * routing table … we present one for clarity"). A bin's update times must
+    * be monotone: a backdated update would rewrite a configuration that F may
+    * already have routed by, and its old owner would not be `assignTable`.
     */
   private def ingestUpdate(t: Long, bin: Int, newWorker: Int): Unit = {
-    val oldWorker = assignTable(bin)
     if (binHistory(bin) == null) binHistory(bin) = new BinHistory
-    binHistory(bin).put(t, newWorker)
+    val history = binHistory(bin)
+    require(t >= history.lastTime, s"configuration update for bin $bin at $t is behind its update at ${history.lastTime}")
+    val oldWorker = assignTable(bin)
+    history.put(t, newWorker)
     assignTable(bin) = newWorker
     if (oldWorker != newWorker) {
       migrationLog += Migration(t, bin, oldWorker, newWorker)
@@ -543,23 +547,21 @@ private[core] final class BinHistory {
   private var owners = new Array[Int](2)
   private var n      = 0
 
-  /** Record that the bin belongs to `worker` from time `t` on. */
-  def put(t: Long, worker: Int): Unit = {
-    val i = java.util.Arrays.binarySearch(times, 0, n, t)
-    if (i >= 0) owners(i) = worker
+  /** Time of the latest update, or `Long.MinValue` if there is none. */
+  def lastTime: Long = if (n == 0) Long.MinValue else times(n - 1)
+
+  /** Record that the bin belongs to `worker` from time `t` (≥ [[lastTime]]) on. */
+  def put(t: Long, worker: Int): Unit =
+    if (n > 0 && times(n - 1) == t) owners(n - 1) = worker
     else {
-      val at = -i - 1
       if (n == times.length) {
         times = java.util.Arrays.copyOf(times, n * 2)
         owners = java.util.Arrays.copyOf(owners, n * 2)
       }
-      System.arraycopy(times, at, times, at + 1, n - at)
-      System.arraycopy(owners, at, owners, at + 1, n - at)
-      times(at) = t
-      owners(at) = worker
+      times(n) = t
+      owners(n) = worker
       n += 1
     }
-  }
 
   /** Owner by the latest update at or before `t`, or -1 if there is none. */
   def ownerAt(t: Long): Int =

@@ -1,50 +1,83 @@
 package repro.sparkmega
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.Partitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.StructType
+import repro.core.Moves
 import scala.collection.mutable
 
-/** Megaphone's migration mechanism instantiated on Spark DataFrames as a
-  * micro-batch streaming engine (the repro target's "Structured Streaming
-  * state migration mechanism that repartitions keyed state across executors
-  * in configurable granularity").
+/** Megaphone's migration mechanism instantiated on Spark as a micro-batch
+  * streaming engine (the repro target's "Structured Streaming state migration
+  * mechanism that repartitions keyed state across executors in configurable
+  * granularity").
   *
-  * Keyed operator state lives in a driver-managed DataFrame
-  * `(bin, key, cnt, worker)`; the configuration function is a bin→worker
-  * routing table. A migration is expressed — exactly as in §3.3 — as a set
-  * of `(bin, worker)` updates taking effect at a batch boundary (the logical
-  * timestamp), and its cost is the Spark shuffle of precisely the moving
-  * bins' rows: all-at-once pays it in one batch, fluid/batched spread it.
-  * Placement is observable via `spark_partition_id` after repartitioning on
-  * the worker column (see SparkMegaphoneSpec).
+  * Worker `w`'s keyed state is partition `w` of an RDD held under an identity
+  * partitioner: one `LongMap` of key → count per bin the worker holds (the
+  * binned state of §4.2). The configuration function is a bin → worker
+  * routing table, and a migration is — exactly as in §3.3 — a set of
+  * `(bin, worker)` updates taking effect at a batch boundary (the logical
+  * timestamp). One batch runs in two steps:
   *
-  * OSS Structured Streaming pins its state store to fixed shuffle
-  * partitions; this driver-managed formulation exposes the placement knob
-  * Megaphone needs while keeping every data-plane operation a plain
-  * DataFrame transformation (aggregation + full-outer join on (bin, key)).
+  *  - Migration. Only the updated bins' rows are shuffled, to their new
+  *    owners, where they are merged in; the staying bins' maps are carried
+  *    over untouched. The migration's cost is therefore precisely the moving
+  *    bins' rows: all-at-once pays it in one batch, fluid/batched spread it.
+  *  - Fold. The batch is combined per key map-side and shuffled straight to
+  *    each key's owner under the routing after the migration, then zipped
+  *    with the state. Only the aggregated batch is shuffled.
+  *
+  * Each step ends in a commit: `localCheckpoint` and one action, which
+  * materialises the new state and cuts its lineage. Committed maps are never
+  * mutated (the block manager holds them); a step copies a bin's map before
+  * it changes it.
+  *
+  * OSS Structured Streaming pins its state store to fixed shuffle partitions;
+  * placing state by an explicit routing table exposes the knob Megaphone needs.
   */
 final class SparkMegaphone(
     val spark: SparkSession,
     val numBins: Int,
     val numWorkers: Int,
 ) {
-  import spark.implicits._
+  import SparkMegaphone._
+
+  private val sc = spark.sparkContext
 
   /** configuration: bin → worker (latest ingested update wins). */
   private val routing: Array[Int] = Array.tabulate(numBins)(_ % numWorkers)
 
   def currentOwner(bin: Int): Int = routing(bin)
 
-  private var stateDf: DataFrame = {
-    val empty = spark.createDataFrame(
-      spark.sparkContext.emptyRDD[org.apache.spark.sql.Row],
-      org.apache.spark.sql.types.StructType.fromDDL("bin INT, key BIGINT, cnt BIGINT, worker INT"),
-    )
-    empty.repartition(numWorkers, col("worker")).cache()
-  }
+  /** Partition `w` holds the single element (w, bins): `bins(b)` is worker
+    * w's key → count map of bin `b`, or null when w holds no rows of `b`.
+    */
+  private var parts: RDD[(Int, Bins)] = _
+  commit {
+    val nb = numBins
+    sc.parallelize(0 until numWorkers, numWorkers)
+      .map(w => (w, new Bins(nb)))
+      .partitionBy(new ByWorker(numWorkers))
+  }(_ => 0L)
 
-  /** Current state (bin, key, cnt, worker), partitioned by worker. */
-  def state: DataFrame = stateDf
+  /** The committed state RDD (tests inspect its placement and lineage). */
+  private[sparkmega] def stateRdd: RDD[(Int, Bins)] = parts
+
+  /** Current state (bin, key, cnt, worker), one partition per worker:
+    * `spark_partition_id() == worker`. Valid until the next batch.
+    */
+  def state: DataFrame = {
+    val rows = parts.mapPartitions(
+      _.flatMap { case (w, bins) =>
+        bins.indices.iterator.filter(bins(_) != null).flatMap { b =>
+          bins(b).iterator.map { case (k, c) => Row(b, k, c, w) }
+        }
+      },
+      preservesPartitioning = true,
+    )
+    spark.createDataFrame(rows, StateSchema)
+  }
 
   final case class BatchResult(
       batchMillis: Long,
@@ -53,79 +86,107 @@ final class SparkMegaphone(
       updatedRows: Long,
   )
 
-  private def routeExpr(snapshot: Array[Int]) = {
-    val routeUdf = udf((b: Int) => snapshot(b))
-    routeUdf(col("bin"))
-  }
-
-  /** Assign bins by the most significant bits idea of §4.2 — here a plain
-    * modulo on a mixed hash, which serves the same purpose for Long keys.
-    * (A local copy of the bin count keeps `this` out of the task closure.)
+  /** Mark `next` for local checkpointing, materialise it with one job that
+    * sums `measure` over its partitions, and make it the state. The old
+    * state's blocks are dropped before returning: removed in the background,
+    * they slowed the next step's tasks.
     */
-  def binOf = {
-    val nb = numBins
-    udf((k: Long) => (((k * 2654435761L) % nb + nb) % nb).toInt)
+  private def commit(next: RDD[(Int, Bins)])(measure: Bins => Long): Long = {
+    next.localCheckpoint()
+    val total = sc.runJob(next, (it: Iterator[(Int, Bins)]) => measure(it.next()._2)).sum
+    if (parts != null) parts.unpersist(blocking = true)
+    parts = next
+    total
   }
 
   /** One micro-batch: apply configuration updates (migrating exactly the
-    * moved bins' state via a shuffle), then fold the batch into per-key
-    * counts. `batch` has columns (key: Long, value: Long).
+    * updated bins' rows), then fold the batch into per-key counts. `batch`
+    * has columns (key: Long, value: Long).
     */
   def processBatch(batch: DataFrame, updates: Seq[(Int, Int)] = Nil): BatchResult = {
     val tAll = System.nanoTime()
+    val nb   = numBins
 
-    // ---- migration: reroute the moved bins and shuffle exactly their rows.
+    // ---- migration: reroute the updated bins and shuffle exactly their rows.
+    // Both sides touch only the updated bins; the other bins' maps carry over.
     var migrateMillis = 0L
     var movedRows     = 0L
     if (updates.nonEmpty) {
       val t0 = System.nanoTime()
       updates.foreach { case (b, w) => routing(b) = w }
-      val snapshot  = routing.clone()
-      val movedBins = updates.map(_._1).toSet
-      val isMoved   = udf((b: Int) => movedBins.contains(b))
-      val moving = stateDf
-        .filter(isMoved(col("bin")))
-        .withColumn("worker", routeExpr(snapshot))
-        .repartition(numWorkers, col("worker"))
-        .cache()
-      movedRows = moving.count() // forces the migration shuffle now
-      val staying = stateDf.filter(!isMoved(col("bin")))
-      val old     = stateDf
-      // localCheckpoint truncates lineage: iterated micro-batches would
-      // otherwise accumulate an ever-growing logical plan.
-      stateDf = staying.union(moving).repartition(numWorkers, col("worker")).localCheckpoint(true)
-      old.unpersist()
-      moving.unpersist()
+      val moved = updates.map(_._1).distinct.toArray
+      val leaving = parts
+        .flatMap { case (_, bins) => moved.iterator.filter(bins(_) != null).flatMap(bins(_).iterator) }
+        .partitionBy(new ByOwner(routing.clone(), numWorkers))
+      val next = parts.zipPartitions(leaving, preservesPartitioning = true) { (st, arriving) =>
+        val (w, old) = st.next()
+        val bins     = old.clone()
+        moved.foreach(bins(_) = null)
+        arriving.foreach { case (k, c) =>
+          val b = binOf(k, nb)
+          if (bins(b) == null) bins(b) = mutable.LongMap.empty[Long]
+          bins(b)(k) = c
+        }
+        Iterator.single((w, bins))
+      }
+      movedRows = commit(next)(bins => moved.iterator.filter(bins(_) != null).map(bins(_).size.toLong).sum)
       migrateMillis = (System.nanoTime() - t0) / 1_000_000L
     }
 
-    // ---- state update: fold the batch into per-key counts.
-    val snapshot = routing.clone()
-    val agg = batch
-      .withColumn("bin", binOf(col("key")))
-      .groupBy($"bin", $"key")
-      .agg(sum($"value") as "delta")
-    val old = stateDf
-    val joined = old
-      .drop("worker")
-      .join(agg, Seq("bin", "key"), "full_outer")
-      .select(
-        $"bin",
-        $"key",
-        (coalesce($"cnt", lit(0L)) + coalesce($"delta", lit(0L))) as "cnt",
-      )
-      .withColumn("worker", routeExpr(snapshot))
-    stateDf = joined.repartition(numWorkers, col("worker")).localCheckpoint(true)
-    val updated = stateDf.count()
-    old.unpersist()
+    // ---- state update: fold the batch into per-key counts at their owners.
+    // `toRdd` skips the conversion to external rows; the two longs are read
+    // out of each (reused) internal row at once.
+    val deltas = batch
+      .select(col("key").cast("long"), col("value").cast("long"))
+      .queryExecution.toRdd
+      .map(r => (r.getLong(0), r.getLong(1)))
+      .reduceByKey(new ByOwner(routing.clone(), numWorkers), _ + _)
+    val next = parts.zipPartitions(deltas, preservesPartitioning = true) { (st, ds) =>
+      val (w, old) = st.next()
+      val bins     = old.clone()
+      val copied   = new Array[Boolean](nb) // bins already copied for this batch
+      ds.foreach { case (k, d) =>
+        val b = binOf(k, nb)
+        if (!copied(b)) {
+          bins(b) = if (bins(b) == null) mutable.LongMap.empty[Long] else bins(b).clone()
+          copied(b) = true
+        }
+        bins(b)(k) = bins(b).getOrElse(k, 0L) + d
+      }
+      Iterator.single((w, bins))
+    }
+    val updatedRows = commit(next)(_.iterator.filter(_ != null).map(_.size.toLong).sum)
 
-    BatchResult((System.nanoTime() - tAll) / 1_000_000L, migrateMillis, movedRows, updated)
+    BatchResult((System.nanoTime() - tAll) / 1_000_000L, migrateMillis, movedRows, updatedRows)
   }
 
-  def close(): Unit = stateDf.unpersist()
+  /** Release the committed state's blocks. */
+  def close(): Unit = parts.unpersist(blocking = true)
 }
 
 object SparkMegaphone {
+
+  /** One worker's state: a key → count map per bin, null for bins it does not hold. */
+  private[sparkmega] type Bins = Array[mutable.LongMap[Long]]
+
+  private val StateSchema = StructType.fromDDL("bin INT, key BIGINT, cnt BIGINT, worker INT")
+
+  /** Assign bins by the most significant bits idea of §4.2 — here a plain
+    * modulo on a mixed hash, which serves the same purpose for Long keys.
+    */
+  def binOf(key: Long, numBins: Int): Int = (((key * 2654435761L) % numBins + numBins) % numBins).toInt
+
+  /** The state's placement: partition `w` is worker `w`. */
+  private final class ByWorker(workers: Int) extends Partitioner {
+    def numPartitions: Int             = workers
+    def getPartition(worker: Any): Int = worker.asInstanceOf[Int]
+  }
+
+  /** Sends a key to the owner of its bin under a routing snapshot. */
+  private final class ByOwner(owners: Array[Int], workers: Int) extends Partitioner {
+    def numPartitions: Int          = workers
+    def getPartition(key: Any): Int = owners(binOf(key.asInstanceOf[Long], owners.length))
+  }
 
   /** Migration schedules at micro-batch granularity: which updates take
     * effect at which batch index — the §3.3 strategies with the batch
@@ -149,10 +210,5 @@ object SparkMegaphone {
   }
 
   /** The canonical §5 move set on the Spark engine's modulo assignment. */
-  def imbalance(bins: Int, workers: Int): Seq[(Int, Int)] = {
-    val half = workers / 2
-    (0 until bins).collect {
-      case b if b % workers < half && (b / workers) % 2 == 0 => (b, b % workers + half)
-    }
-  }
+  def imbalance(bins: Int, workers: Int): Seq[(Int, Int)] = Moves.imbalance(bins, workers)
 }

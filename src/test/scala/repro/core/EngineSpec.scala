@@ -255,6 +255,19 @@ class EngineSpec extends AnyFunSuite {
     assert(engine.workers.map(_.busyNs).sum > 0)
   }
 
+  test("a backdated configuration update for a bin fails loudly") {
+    val sim = new Sim
+    val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
+      sim, 2, 4, CostModel.keyCount.copy(hiccupEveryNs = 0), new SumLogic, k => (k % 4).toInt)
+    engine.initBins()
+    engine.controlInput.send(5_000_000L, Seq((0, 1)))
+    engine.controlInput.send(2_000_000L, Seq((2, 1))) // each bin's times are its own
+    val e = intercept[IllegalArgumentException](engine.controlInput.send(3_000_000L, Seq((0, 0))))
+    assert(e.getMessage.contains("bin 0") && e.getMessage.contains("3000000"), e.getMessage)
+    assert(engine.currentOwner(0) == 1 && engine.route(5_000_000L, 0) == 1 && engine.route(3_000_000L, 0) == 0,
+      "the rejected update leaves the configuration unchanged")
+  }
+
   test("a record delivered to a worker that does not own its bin fails loudly") {
     val sim = new Sim
     val engine = new MegaphoneEngine[Long, Long, (Long, Long)](

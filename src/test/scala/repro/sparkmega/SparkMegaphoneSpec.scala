@@ -1,12 +1,17 @@
 package repro.sparkmega
 
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
+import scala.collection.mutable
 
 /** The Spark micro-batch instantiation: result correctness against DuckDB,
-  * migration invariance across strategies, and real placement checks via
-  * spark_partition_id.
+  * migration invariance across strategies, real placement checks via
+  * spark_partition_id, and the shuffle volume of folds and migrations.
   */
 class SparkMegaphoneSpec extends SparkSpec {
   import spark.implicits._
@@ -104,7 +109,86 @@ class SparkMegaphoneSpec extends SparkSpec {
     byBin.values.foreach(rows => assert(rows.length == 1, "a bin must live in exactly one partition"))
     val byWorker = placed.groupBy(_.getInt(1)).view.mapValues(_.map(_.getInt(2)).toSet)
     byWorker.values.foreach(pids => assert(pids.size == 1, "a worker maps to one partition"))
+    // That partition is the worker's own: no two workers share one, none is empty.
+    placed.foreach(r => assert(r.getInt(2) == r.getInt(1), s"worker ${r.getInt(1)}'s rows in partition ${r.getInt(2)}"))
+    assert(placed.map(_.getInt(2)).toSet == (0 until Workers).toSet, "every worker's partition holds state")
     eng.close()
+  }
+
+  /** Runs `f` and returns its result with the shuffle records its jobs wrote. */
+  private def shuffleRecords[T](f: => T): (T, Long) = {
+    val sc      = spark.sparkContext
+    val records = new AtomicLong
+    val listener = new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (e.taskMetrics != null) records.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+    }
+    ListenerBusDrain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val r = f
+      ListenerBusDrain(sc)
+      (r, records.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("a fold-only batch shuffles the batch, not the state") {
+    val b     = batches(1, 2000, 500, seed = 77L).head
+    val empty = new SparkMegaphone(spark, Bins, Workers)
+    val large = new SparkMegaphone(spark, Bins, Workers)
+    batches(3, 20000, 20000).foreach(large.processBatch(_))
+    val (_, onEmpty) = shuffleRecords(empty.processBatch(b))
+    val (_, onLarge) = shuffleRecords(large.processBatch(b))
+    assert(onEmpty > 0 && onEmpty == onLarge, s"$onEmpty records on an empty state, $onLarge on ${large.state.count()} rows")
+    empty.close(); large.close()
+  }
+
+  test("a migration batch shuffles exactly the moved rows on top of the fold") {
+    val history   = batches(3, 3000, 1000)
+    val b         = batches(1, 500, 1000, seed = 99L).head
+    val plain     = new SparkMegaphone(spark, Bins, Workers)
+    val migrating = new SparkMegaphone(spark, Bins, Workers)
+    history.foreach { h => plain.processBatch(h); migrating.processBatch(h) }
+    val (_, foldOnly)  = shuffleRecords(plain.processBatch(b))
+    val (res, withMig) = shuffleRecords(migrating.processBatch(b, SparkMegaphone.imbalance(Bins, Workers)))
+    assert(res.movedRows > 0 && withMig - foldOnly == res.movedRows,
+      s"fold alone $foldOnly records, with migration $withMig, moved rows ${res.movedRows}")
+    plain.close(); migrating.close()
+  }
+
+  test("a long run migrating away and back stays exact, and its lineage stays bounded") {
+    val bs     = batches(40, 300, 200, seed = 1000L)
+    val away   = SparkMegaphone.imbalance(Bins, Workers)
+    val back   = away.map { case (b, _) => (b, b % Workers) }
+    // A batched migration every 5 batches, alternating direction.
+    val sched  = (5 until 40 by 5).zipWithIndex
+      .map { case (start, i) => SparkMegaphone.schedule("batched", if (i % 2 == 0) away else back, start, 4) }
+      .reduce(_ ++ _)
+    val owners = Array.tabulate(Bins)(_ % Workers)
+    val eng    = new SparkMegaphone(spark, Bins, Workers)
+    val depths = bs.zipWithIndex.map { case (b, i) =>
+      val updates = sched.getOrElse(i, Nil)
+      updates.foreach { case (bin, w) => owners(bin) = w }
+      eng.processBatch(b, updates)
+      ancestors(eng.stateRdd)
+    }
+    Oracle.assertEquivalent(
+      eng.state.select($"key", $"cnt"),
+      "SELECT CAST(key AS BIGINT) AS key, SUM(CAST(value AS BIGINT)) AS cnt FROM input GROUP BY key",
+      "input" -> bs.reduce(_ union _),
+    )
+    (0 until Bins).foreach(b => assert(eng.currentOwner(b) == owners(b), s"bin $b"))
+    assert(owners.toSeq != Seq.tabulate(Bins)(_ % Workers), "the last migration moves bins away")
+    assert(depths.forall(_ == depths.head) && depths.head <= 2, s"lineage depth per batch: ${depths.mkString(",")}")
+    eng.close()
+  }
+
+  /** Number of distinct RDDs `rdd` depends on, transitively. */
+  private def ancestors(rdd: RDD[_]): Int = {
+    val seen = mutable.Set.empty[Int]
+    def visit(r: RDD[_]): Unit = r.dependencies.foreach(d => if (seen.add(d.rdd.id)) visit(d.rdd))
+    visit(rdd)
+    seen.size
   }
 
   test("migration moves exactly the scheduled bins to their new workers") {
