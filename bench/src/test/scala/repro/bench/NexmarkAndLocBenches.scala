@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AllAtOnce, Batched}
 import repro.exp.{NexmarkExp, Table1Loc}
 import repro.nexmark.QueryRig
 

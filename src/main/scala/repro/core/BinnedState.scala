@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.timely.EventHeap
 import scala.collection.mutable
 
 /** A weighted record: `weight > 1` lets the counting benchmarks drive the
@@ -40,79 +41,30 @@ trait BinLogic[K, V, O] {
   * replayable for times not in advance of a frontier, and migrateable
   * alongside its bin's state.
   *
-  * A binary min-heap keyed on `(time, seq)` over primitive arrays: `seq`
-  * breaks timestamp ties, and the engine passes an engine-global insertion
-  * counter, so replay order is total and deterministic. The arrays are
-  * allocated on the first [[schedule]]: an engine builds one notificator per
-  * bin, and most bins never schedule anything.
+  * An [[EventHeap]] keyed on `(time, seq)`: `seq` breaks timestamp ties, and
+  * the engine passes an engine-global insertion counter, so replay order is
+  * total and deterministic. The heap allocates its arrays on the first
+  * [[schedule]]: an engine builds one notificator per bin, and most bins
+  * never schedule anything.
   */
-final class Notificator[K, V] {
-  private var times = Array.emptyLongArray
-  private var seqs  = Array.emptyLongArray
-  private var recs  = Array.emptyObjectArray
-  private var n     = 0
+final class Notificator[K, V] extends EventHeap[Rec[K, V]] {
 
   /** Schedule a post-dated record; `seq` breaks timestamp ties FIFO so that
     * replay order is deterministic (engine-global insertion order).
     */
-  def schedule(t: Long, rec: Rec[K, V], seq: Long = 0L): Unit = {
-    if (n == times.length) {
-      val cap = math.max(8, n * 2)
-      times = java.util.Arrays.copyOf(times, cap)
-      seqs = java.util.Arrays.copyOf(seqs, cap)
-      recs = java.util.Arrays.copyOf(recs, cap)
-    }
-    var i = n
-    n += 1
-    while (i > 0 && { val p = (i - 1) >>> 1; t < times(p) || (t == times(p) && seq < seqs(p)) }) {
-      val p = (i - 1) >>> 1
-      times(i) = times(p); seqs(i) = seqs(p); recs(i) = recs(p)
-      i = p
-    }
-    times(i) = t; seqs(i) = seq; recs(i) = rec
-  }
-
-  def isEmpty: Boolean = n == 0
-  def size: Int        = n
-  def minTime: Long    = if (n == 0) Long.MaxValue else times(0)
-
-  /** The least `seq` among the triples at [[minTime]]; call only when non-empty. */
-  def minSeq: Long = seqs(0)
+  def schedule(t: Long, rec: Rec[K, V], seq: Long = 0L): Unit = push(t, seq, rec)
 
   /** The record with the least `(time, seq)`; call only when non-empty. */
-  def minRec: Rec[K, V] = recs(0).asInstanceOf[Rec[K, V]]
-
-  /** Remove the least triple (see [[minTime]] and [[minRec]]). */
-  def removeMin(): Unit = {
-    n -= 1
-    val t = times(n)
-    val s = seqs(n)
-    val r = recs(n)
-    recs(n) = null
-    var i    = 0
-    var done = n == 0
-    while (!done) {
-      val l = 2 * i + 1
-      if (l >= n) done = true
-      else {
-        val c = if (l + 1 < n && (times(l + 1) < times(l) || (times(l + 1) == times(l) && seqs(l + 1) < seqs(l)))) l + 1 else l
-        if (times(c) < t || (times(c) == t && seqs(c) < s)) {
-          times(i) = times(c); seqs(i) = seqs(c); recs(i) = recs(c)
-          i = c
-        } else done = true
-      }
-    }
-    if (n > 0) { times(i) = t; seqs(i) = s; recs(i) = r }
-  }
+  def minRec: Rec[K, V] = minItem
 
   /** Move every triple with time strictly below `frontier` into `into`;
     * returns the total weight of the records moved.
     */
   def drainInto(frontier: Long, into: Notificator[K, V]): Long = {
     var weight = 0L
-    while (n > 0 && times(0) < frontier) {
+    while (minTime < frontier) {
       val r = minRec
-      into.schedule(times(0), r, seqs(0))
+      into.schedule(minTime, r, minSeq)
       removeMin()
       weight += r.weight
     }
@@ -129,7 +81,7 @@ final class Notificator[K, V] {
 
   private def drainWhile(due: Long => Boolean): Seq[(Long, Long, Rec[K, V])] = {
     val out = mutable.ArrayBuffer.empty[(Long, Long, Rec[K, V])]
-    while (n > 0 && due(times(0))) { out += ((times(0), seqs(0), minRec)); removeMin() }
+    while (!isEmpty && due(minTime)) { out += ((minTime, minSeq, minRec)); removeMin() }
     out.toSeq
   }
 }

@@ -29,7 +29,6 @@ final class MegaphoneEngine[K, V, O](
     val cost: CostModel,
     val logic: BinLogic[K, V, O],
     binOf: K => Int,
-    initialAssignment: Int => Int = null,
     /** (completionNs, recordTime, output, weight) for every emitted output. */
     onOutput: (Long, Long, O, Long) => Unit = null,
     /** (loNs, hiNs, weight): applied input records arrived uniformly over
@@ -61,8 +60,7 @@ final class MegaphoneEngine[K, V, O](
   /** Assignment after all ingested configuration updates: the old owner of
     * a new update, since a bin's update times never go backwards.
     */
-  private val assignTable: Array[Int] =
-    Array.tabulate(numBins)(b => if (initialAssignment == null) b % numWorkers else initialAssignment(b))
+  private val assignTable: Array[Int] = Array.tabulate(numBins)(_ % numWorkers)
 
   private val initialOwner: Array[Int] = assignTable.clone()
 

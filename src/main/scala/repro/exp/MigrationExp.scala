@@ -22,34 +22,27 @@ object MigrationExp {
       steadyMaxNs: Long,
   )
 
-  def strategies(bins: Int, gapNs: Long = 0L): Seq[(String, Strategy)] = Seq(
-    "all-at-once" -> AllAtOnce,
-    "fluid"       -> Fluid(),
-    "batched"     -> batchedFor(bins),
-  ) ++ (if (gapNs > 0) Seq("optimized" -> batchedFor(bins).copy(gapNs = gapNs)) else Nil)
+  def strategies(bins: Int): Seq[Strategy] = Seq(AllAtOnce, Fluid(), batchedFor(bins))
 
   /** Run one (config, strategy) cell; reports the *second* migration. */
   def one(cfg: CountingWorkload.Config, label: String, strategy: Strategy, totalNs: Long): Row = {
     val res = CountingWorkload.run(cfg, totalNs, Some(strategy))
     val m   = res.migrations.last
-    Row(strategy match {
-      case b: Batched if b.gapNs > 0 => "optimized"
-      case s                         => s.name
-    }, label, m.durationNs, m.maxLatencyNs, res.steadyMaxLatencyNs)
+    Row(strategy.name, label, m.durationNs, m.maxLatencyNs, res.steadyMaxLatencyNs)
   }
 
   /** Figure 16: vary bins 2⁴…2¹⁴ (×4) for a fixed domain of 4096×10⁶ keys. */
   def varyBins(domain: Long = 4096L * 1000 * 1000, totalNs: Long = 90_000_000_000L): Seq[Row] =
     for {
-      lb       <- Seq(4, 6, 8, 10, 12, 14)
-      (_, s)   <- strategies(1 << lb)
+      lb <- Seq(4, 6, 8, 10, 12, 14)
+      s  <- strategies(1 << lb)
     } yield one(CountingWorkload.Config(bins = 1 << lb, domain = domain), s"bins=2^$lb", s, totalNs)
 
   /** Figure 17: vary domain 256…8192×10⁶ keys (×2) at 4096 bins. */
   def varyKeys(totalNs: Long = 90_000_000_000L): Seq[Row] =
     for {
       dM     <- Seq(256L, 512L, 1024L, 2048L, 4096L, 8192L)
-      (_, s) <- strategies(1 << 12)
+      s      <- strategies(1 << 12)
     } yield one(
       CountingWorkload.Config(bins = 1 << 12, domain = dM * 1000 * 1000),
       s"keys=${dM}e6", s, totalNs)
@@ -59,7 +52,7 @@ object MigrationExp {
     for {
       dM     <- Seq(256L, 1024L, 4096L, 16384L, 32768L)
       bins    = math.max(16, (dM * 1000 * 1000 / 4_000_000L).toInt)
-      (_, s) <- strategies(bins)
+      s      <- strategies(bins)
     } yield one(
       CountingWorkload.Config(bins = bins, domain = dM * 1000 * 1000),
       s"keys=${dM}e6,bins=$bins", s, totalNs)
@@ -70,7 +63,7 @@ object MigrationExp {
   def varyLoad(totalNs: Long = 60_000_000_000L): Seq[Row] =
     for {
       rateK  <- Seq(250L, 1000L, 4000L, 16000L, 32000L)
-      (_, s) <- strategies(1 << 12)
+      s      <- strategies(1 << 12)
     } yield one(
       CountingWorkload.Config(bins = 1 << 12, domain = 16384L * 1000 * 1000, ratePerSec = rateK * 1000),
       s"rate=${rateK}e3", s, totalNs)
@@ -87,11 +80,11 @@ object MigrationExp {
 
   /** Figure 20: per-process memory over time, 16×10⁹ keys, 4096 bins. */
   def memory(totalNs: Long = 90_000_000_000L): Seq[(String, Seq[(Long, Long, Long)])] =
-    strategies(1 << 12).map { case (name, s) =>
+    strategies(1 << 12).map { s =>
       val res = CountingWorkload.run(
         CountingWorkload.Config(bins = 1 << 12, domain = 16000L * 1000 * 1000),
         totalNs, Some(s), memSampleEveryNs = 1_000_000_000L)
-      (name, res.memSamples)
+      (s.name, res.memSamples)
     }
 
   def render(rows: Seq[Row]): String =

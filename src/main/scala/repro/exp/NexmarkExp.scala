@@ -1,8 +1,8 @@
 package repro.exp
 
-import repro.core.{AllAtOnce, Batched, Moves, Strategy}
+import repro.core.{AllAtOnce, Batched, Strategy}
 import repro.harness.{LatencyHistogram, LatencySeries, TextTable}
-import repro.nexmark.{EventGen, QueryRig}
+import repro.nexmark.QueryRig
 
 /** §5.1: NEXMark queries under load with a reconfiguration mid-run — the
   * data behind Figures 5–12. Reports the second (rebalancing) migration's
@@ -33,39 +33,9 @@ object NexmarkExp {
     val hist   = new LatencyHistogram
     val series = new LatencySeries
     val built  = QueryRig.build(q, cfg, hist, series)
-    val sim    = built.sim
-    val epochNs = cfg.cost.epochNs
-    val gen    = new EventGen(epochNs, math.max(1, (cfg.ratePerSec * epochNs / 1e9).toInt), cfg.auctionLifeNs, cfg.seed)
+    val migs   = QueryRig.drive(built, cfg, totalNs, strategy)
 
-    def inject(e: Long): Unit = {
-      val t = e * epochNs
-      if (t >= totalNs) { built.closeData(); return }
-      built.send(t, gen.epoch(e))
-      built.advance(t + epochNs)
-      built.controlAdvance(t + epochNs)
-      sim.at(t + 2 * epochNs)(inject(e + 1))
-    }
-    sim.at(epochNs)(inject(0))
-
-    var migs = List.empty[(Long, Long)]
-    def closeCtl(): Unit =
-      if (sim.now >= totalNs) built.closeControl() else sim.at(totalNs)(built.closeControl())
-    strategy match {
-      case None => closeCtl()
-      case Some(s) =>
-        built.migrate(totalNs / 3, s, Moves.imbalance(built.mainBins, cfg.workers), (b, e) => {
-          migs ::= (b, e)
-          built.migrate(math.max(e + 1, 2 * totalNs / 3), s, Moves.rebalance(built.mainBins, cfg.workers), (b2, e2) => {
-            migs ::= (b2, e2)
-            closeCtl()
-          })
-        })
-    }
-
-    sim.run()
-    require(built.drained(), s"query $q did not drain its output frontier")
-
-    val (migMax, migDur) = migs.headOption match {
+    val (migMax, migDur) = migs.lastOption match {
       case Some((b, e)) => (series.maxIn(b, e + series.windowNs), e - b)
       case None         => (0L, 0L)
     }

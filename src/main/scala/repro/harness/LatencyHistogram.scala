@@ -65,13 +65,6 @@ final class LatencyHistogram {
       row
     }
   }
-
-  def merge(other: LatencyHistogram): Unit = {
-    var b = 0
-    while (b < Buckets) { counts(b) += other.counts(b); b += 1 }
-    total += other.total
-    maxSeen = math.max(maxSeen, other.maxSeen)
-  }
 }
 
 object LatencyHistogram {

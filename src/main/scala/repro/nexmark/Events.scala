@@ -39,8 +39,6 @@ final class EventGen(
   private var emitted        = 0L
   private var generatedUpTo  = 0L // next epoch to generate
 
-  private val buffered = scala.collection.mutable.Queue.empty[Seq[Event]]
-
   /** Events of epoch `e`; must be called with consecutive e starting at 0. */
   def epoch(e: Long): Seq[Event] = {
     require(e == generatedUpTo, s"epochs must be generated in order (got $e, expected $generatedUpTo)")

@@ -1,7 +1,6 @@
 package repro.nexmark
 
 import repro.core._
-import repro.timely.Sim
 import scala.collection.mutable
 
 /** NEXMark queries Q1–Q8 implemented against Megaphone's stateful operator

@@ -3,6 +3,7 @@ package repro.nexmark
 import repro.core._
 import repro.harness.{LatencyHistogram, LatencySeries}
 import repro.timely.Sim
+import scala.collection.mutable
 import MegaphoneQueries._
 
 /** Assembles NEXMark queries into one- or two-stage Megaphone dataflows on
@@ -54,113 +55,133 @@ object QueryRig {
       cfg: NexConfig,
       hist: LatencyHistogram,
       series: LatencySeries,
-      collect: scala.collection.mutable.Buffer[Out] = null,
+      collect: mutable.Buffer[Out] = null,
   ): Built = {
     val sim = new Sim
     var outCount = 0L
     def countOut(o: Out): Unit = { outCount += 1; if (collect != null) collect += o; () }
 
-    def mkBinOf(bins: Int): Long => Int = k => (((k % bins) + bins) % bins).toInt
+    val binOf: Long => Int = k => (((k % cfg.bins) + cfg.bins) % cfg.bins).toInt
 
-    /** Second stage (no migration): control closed immediately unless main. */
-    def stage2[V2](logic: BinLogic[Long, V2, Out], main: Boolean): MegaphoneEngine[Long, V2, Out] = {
-      val e = new MegaphoneEngine[Long, V2, Out](
-        sim, cfg.workers, cfg.bins, cfg.cost, logic, mkBinOf(cfg.bins),
-        onOutput = (_, _, o, _) => countOut(o),
+    /** One stage; `out(t, o)` receives its outputs, and the main stage also
+      * records latencies.
+      */
+    def stage[V](logic: BinLogic[Long, V, Out], main: Boolean, out: (Long, Out) => Unit): MegaphoneEngine[Long, V, Out] = {
+      val e = new MegaphoneEngine[Long, V, Out](
+        sim, cfg.workers, cfg.bins, cfg.cost, logic, binOf,
+        onOutput = (_, t, o, _) => out(t, o),
         onLatency = if (main) (lo, hi, w) => { hist.addRange(lo, hi, w.toDouble); series.add(sim.now, hi) } else null,
-        noiseSeed = cfg.seed + 1,
       )
       e.initBins()
       e
     }
 
-    def stage1(
-        logic: BinLogic[Long, In, Out],
-        main: Boolean,
-        forward: (Long, Out) => Unit,
-    ): MegaphoneEngine[Long, In, Out] = {
-      val e = new MegaphoneEngine[Long, In, Out](
-        sim, cfg.workers, cfg.bins, cfg.cost, logic, mkBinOf(cfg.bins),
-        onOutput = (_, t, o, _) => forward(t, o),
-        onLatency = if (main) (lo, hi, w) => { hist.addRange(lo, hi, w.toDouble); series.add(sim.now, hi) } else null,
-        noiseSeed = cfg.seed,
+    val key = keyOf(q, cfg)
+
+    /** `first` takes the input and `main` is migrated; `other`, the non-main
+      * engine of a two-stage query (null for one stage), never migrates: its
+      * control stream closes now.
+      */
+    def mkBuilt(first: MegaphoneEngine[Long, In, Out], main: MegaphoneEngine[Long, _, Out], other: MegaphoneEngine[Long, _, Out]): Built = {
+      val ctl = new MigrationController(main)
+      if (other != null) other.controlInput.close()
+      Built(
+        sim,
+        send = (t, evs) => {
+          val recs = evs.flatMap(ev => key(ev).map { case (k, v) => Rec(k, v) })
+          recs.grouped(math.max(1, recs.size / cfg.workers + 1)).zipWithIndex.foreach { case (g, w) =>
+            first.dataInput.send(w % cfg.workers, t, g)
+          }
+        },
+        advance = t => first.dataInput.advanceTo(t),
+        closeData = () => first.dataInput.close(),
+        controlAdvance = t => main.controlInput.advanceTo(t),
+        closeControl = () => main.controlInput.close(),
+        migrate = (at, s, moves, done) => ctl.migrate(at, s, moves)(done),
+        mainBins = cfg.bins,
+        drained = () => main.probe.frontier == Long.MaxValue && (other == null || other.probe.frontier == Long.MaxValue),
+        outputCount = () => outCount,
       )
-      e.initBins()
-      e
     }
 
-    /** Pipe e1's outputs/progress into e2's data input. */
-    def connect[V2](e1: MegaphoneEngine[Long, In, Out], e2: MegaphoneEngine[Long, V2, Out]): Unit =
+    def single(logic: BinLogic[Long, In, Out]): Built = {
+      val e = stage(logic, main = true, (_, o) => countOut(o))
+      mkBuilt(e, e, null)
+    }
+
+    /** The first stage's `(Long, Long)` outputs feed the second stage under
+      * `secondKey`, at worker `key % workers`; the second stage's progress
+      * follows the first's output frontier.
+      */
+    def twoStage(first: BinLogic[Long, In, Out], second: BinLogic[Long, (Long, Long), Out], mainIsSecond: Boolean)(
+        secondKey: ((Long, Long)) => Long): Built = {
+      val e2 = stage(second, mainIsSecond, (_, o) => countOut(o))
+      val e1 = stage(first, !mainIsSecond, (t, o) => {
+        val v = o.asInstanceOf[(Long, Long)]
+        val k = secondKey(v)
+        e2.dataInput.send((k % cfg.workers).toInt, t, Seq(Rec(k, v)))
+      })
       e1.probe.onAdvance { _ =>
         // Read the live frontier: a stale advance value could overshoot.
         val f = e1.probe.frontier
         if (f == Long.MaxValue) e2.dataInput.close()
         else { e2.dataInput.advanceTo(f); e2.controlInput.advanceTo(f) }
       }
-
-    val key = keyOf(q, cfg)
-
-    def mkSend(e: MegaphoneEngine[Long, In, Out]): (Long, Seq[Event]) => Unit = (t, evs) => {
-      val recs = evs.flatMap(ev => key(ev).map { case (k, v) => Rec(k, v) })
-      recs.grouped(math.max(1, recs.size / cfg.workers + 1)).zipWithIndex.foreach { case (g, w) =>
-        e.dataInput.send(w % cfg.workers, t, g)
-      }
-    }
-
-    def mkBuilt[V2](
-        e1: MegaphoneEngine[Long, In, Out],
-        e2: Option[MegaphoneEngine[Long, V2, Out]],
-        mainIsStage2: Boolean,
-    ): Built = {
-      val main: MegaphoneEngine[_, _, _] = if (mainIsStage2) e2.get else e1
-      val ctl  = if (mainIsStage2) new MigrationController(e2.get) else new MigrationController(e1)
-      // The non-main stage never migrates: its control stream closes now.
-      if (mainIsStage2) e1.controlInput.close() else e2.foreach(_.controlInput.close())
-      Built(
-        sim,
-        send = mkSend(e1),
-        advance = t => e1.dataInput.advanceTo(t),
-        closeData = () => e1.dataInput.close(),
-        controlAdvance = t => (if (mainIsStage2) e2.get.controlInput else e1.controlInput).advanceTo(t),
-        closeControl = () => (if (mainIsStage2) e2.get.controlInput else e1.controlInput).close(),
-        migrate = (at, s, moves, done) => ctl.migrate(at, s, moves)(done),
-        mainBins = cfg.bins,
-        drained = () => e1.probe.frontier == Long.MaxValue && e2.forall(_.probe.frontier == Long.MaxValue),
-        outputCount = () => outCount,
-      )
+      if (mainIsSecond) mkBuilt(e1, e2, e1) else mkBuilt(e1, e1, e2)
     }
 
     q match {
-      case 1 => mkBuilt(stage1(new Q1Logic, main = true, (_, o) => countOut(o)), None: Option[MegaphoneEngine[Long, In, Out]], mainIsStage2 = false)
-      case 2 => mkBuilt(stage1(new Q2Logic, main = true, (_, o) => countOut(o)), None: Option[MegaphoneEngine[Long, In, Out]], mainIsStage2 = false)
-      case 3 => mkBuilt(stage1(new Q3Logic, main = true, (_, o) => countOut(o)), None: Option[MegaphoneEngine[Long, In, Out]], mainIsStage2 = false)
-      case 4 =>
-        val e2 = stage2(new AvgLogic, main = false)
-        val e1 = stage1(new CloseLogic(emitSeller = false), main = true, (t, o) => {
-          val (cat, price) = o.asInstanceOf[(Long, Long)]
-          e2.dataInput.send((cat % cfg.workers).toInt, t, Seq(Rec(cat, (cat, price))))
-        })
-        connect(e1, e2)
-        mkBuilt(e1, Some(e2), mainIsStage2 = false)
-      case 5 =>
-        val e2 = stage2(new MaxCountLogic, main = false)
-        val e1 = stage1(new HotLogic(cfg.windowNs), main = true, (t, o) => {
-          val (a, c) = o.asInstanceOf[(Long, Long)]
-          e2.dataInput.send(0, t, Seq(Rec(0L, (a, c))))
-        })
-        connect(e1, e2)
-        mkBuilt(e1, Some(e2), mainIsStage2 = false)
-      case 6 =>
-        val e2 = stage2(new Last10Logic, main = true)
-        val e1 = stage1(new CloseLogic(emitSeller = true), main = false, (t, o) => {
-          val (seller, price) = o.asInstanceOf[(Long, Long)]
-          e2.dataInput.send((seller % cfg.workers).toInt, t, Seq(Rec(seller, (seller, price))))
-        })
-        connect(e1, e2)
-        mkBuilt(e1, Some(e2), mainIsStage2 = true)
-      case 7 => mkBuilt(stage1(new MaxBidLogic(cfg.windowNs), main = true, (_, o) => countOut(o)), None: Option[MegaphoneEngine[Long, In, Out]], mainIsStage2 = false)
-      case 8 => mkBuilt(stage1(new NewUsersLogic(cfg.q8WindowNs), main = true, (_, o) => countOut(o)), None: Option[MegaphoneEngine[Long, In, Out]], mainIsStage2 = false)
+      case 1 => single(new Q1Logic)
+      case 2 => single(new Q2Logic)
+      case 3 => single(new Q3Logic)
+      case 4 => twoStage(new CloseLogic(emitSeller = false), new AvgLogic, mainIsSecond = false)(_._1)
+      case 5 => twoStage(new HotLogic(cfg.windowNs), new MaxCountLogic, mainIsSecond = false)(_ => 0L)
+      case 6 => twoStage(new CloseLogic(emitSeller = true), new Last10Logic, mainIsSecond = true)(_._1)
+      case 7 => single(new MaxBidLogic(cfg.windowNs))
+      case 8 => single(new NewUsersLogic(cfg.q8WindowNs))
       case _ => throw new IllegalArgumentException(s"unknown query $q")
     }
+  }
+
+  /** Drives a built query through `horizonNs` of input and runs it to the
+    * end. Epoch `e`'s events enter at the end of the epoch, until the horizon.
+    * With a strategy, the canonical migrations run: the imbalance at 1/3 of
+    * the horizon, then the rebalance at `max(end + 1, 2/3)`. The control input
+    * closes at the horizon, or when the rebalance ends if that is later.
+    * Returns the migrations' `(start, end)` windows in order.
+    */
+  def drive(built: Built, cfg: NexConfig, horizonNs: Long, strategy: Option[Strategy]): Seq[(Long, Long)] = {
+    val sim     = built.sim
+    val epochNs = cfg.cost.epochNs
+    val gen     = new EventGen(epochNs, math.max(1, (cfg.ratePerSec * epochNs / 1e9).toInt), cfg.auctionLifeNs, cfg.seed)
+
+    def inject(e: Long): Unit = {
+      val t = e * epochNs
+      if (t >= horizonNs) { built.closeData(); return }
+      built.send(t, gen.epoch(e))
+      built.advance(t + epochNs)
+      built.controlAdvance(t + epochNs)
+      sim.at(t + 2 * epochNs)(inject(e + 1))
+    }
+    sim.at(epochNs)(inject(0))
+
+    val migs = mutable.ArrayBuffer.empty[(Long, Long)]
+    def closeCtl(): Unit =
+      if (sim.now >= horizonNs) built.closeControl() else sim.at(horizonNs)(built.closeControl())
+    strategy match {
+      case None => closeCtl()
+      case Some(s) =>
+        built.migrate(horizonNs / 3, s, Moves.imbalance(built.mainBins, cfg.workers), (b, e) => {
+          migs += ((b, e))
+          built.migrate(math.max(e + 1, 2 * horizonNs / 3), s, Moves.rebalance(built.mainBins, cfg.workers), (b2, e2) => {
+            migs += ((b2, e2))
+            closeCtl()
+          })
+        })
+    }
+
+    sim.run()
+    require(built.drained(), "the query did not drain its output frontier")
+    migs.toSeq
   }
 }

@@ -197,16 +197,16 @@ object SparkMegaphone {
       moves: Seq[(Int, Int)],
       startBatch: Int,
       batchesAvailable: Int,
-  ): Map[Int, Seq[(Int, Int)]] = strategy match {
-    case "all-at-once" => Map(startBatch -> moves)
-    case "fluid" =>
-      // One slice per batch until the moves run out.
-      val per = math.max(1, math.ceil(moves.size.toDouble / batchesAvailable).toInt)
-      moves.grouped(per).zipWithIndex.map { case (g, i) => (startBatch + i, g) }.toMap
-    case "batched" =>
-      val per = math.max(1, math.ceil(moves.size.toDouble / math.min(4, batchesAvailable)).toInt)
-      moves.grouped(per).zipWithIndex.map { case (g, i) => (startBatch + i, g) }.toMap
-    case other => throw new IllegalArgumentException(s"unknown strategy $other")
+  ): Map[Int, Seq[(Int, Int)]] = {
+    // Batches to spread the moves over, one slice each until they run out.
+    val slices = strategy match {
+      case "all-at-once" => 1
+      case "fluid"       => batchesAvailable
+      case "batched"     => math.min(4, batchesAvailable)
+      case other         => throw new IllegalArgumentException(s"unknown strategy $other")
+    }
+    val per = math.max(1, math.ceil(moves.size.toDouble / slices).toInt)
+    moves.grouped(per).zipWithIndex.map { case (g, i) => (startBatch + i, g) }.toMap
   }
 
   /** The canonical §5 move set on the Spark engine's modulo assignment. */

@@ -1,5 +1,70 @@
 package repro.timely
 
+/** A binary min-heap of `(time, seq, item)` triples over primitive arrays,
+  * ordered by `(time, seq)` with strict comparisons in both sifts. It
+  * allocates nothing per entry beyond the item itself; the arrays are
+  * allocated on the first [[push]]. [[Sim]]'s event queue and the engine's
+  * notificators are instances of it.
+  */
+class EventHeap[A <: AnyRef] {
+  private var times = Array.emptyLongArray
+  private var seqs  = Array.emptyLongArray
+  private var items = Array.emptyObjectArray
+  private var n     = 0
+
+  def isEmpty: Boolean = n == 0
+  def size: Int        = n
+  def minTime: Long    = if (n == 0) Long.MaxValue else times(0)
+
+  /** The least `seq` among the entries at [[minTime]]; call only when non-empty. */
+  def minSeq: Long = seqs(0)
+
+  /** The item with the least `(time, seq)`; call only when non-empty. */
+  def minItem: A = items(0).asInstanceOf[A]
+
+  def push(t: Long, seq: Long, item: A): Unit = {
+    if (n == times.length) {
+      val cap = math.max(8, n * 2)
+      times = java.util.Arrays.copyOf(times, cap)
+      seqs = java.util.Arrays.copyOf(seqs, cap)
+      items = java.util.Arrays.copyOf(items, cap)
+    }
+    // Sift up: move parents down until the new entry's slot is found.
+    var i = n
+    n += 1
+    while (i > 0 && { val p = (i - 1) >>> 1; t < times(p) || (t == times(p) && seq < seqs(p)) }) {
+      val p = (i - 1) >>> 1
+      times(i) = times(p); seqs(i) = seqs(p); items(i) = items(p)
+      i = p
+    }
+    times(i) = t; seqs(i) = seq; items(i) = item
+  }
+
+  /** Remove the least entry (see [[minTime]] and [[minItem]]). */
+  def removeMin(): Unit = {
+    n -= 1
+    val t = times(n)
+    val s = seqs(n)
+    val x = items(n)
+    items(n) = null
+    // Sift the last entry down from the root.
+    var i    = 0
+    var done = n == 0
+    while (!done) {
+      val l = 2 * i + 1
+      if (l >= n) done = true
+      else {
+        val c = if (l + 1 < n && (times(l + 1) < times(l) || (times(l + 1) == times(l) && seqs(l + 1) < seqs(l)))) l + 1 else l
+        if (times(c) < t || (times(c) == t && seqs(c) < s)) {
+          times(i) = times(c); seqs(i) = seqs(c); items(i) = items(c)
+          i = c
+        } else done = true
+      }
+    }
+    if (n > 0) { times(i) = t; seqs(i) = s; items(i) = x }
+  }
+}
+
 /** Deterministic discrete-event simulation clock.
   *
   * All latencies in the reproduction are *simulated* nanoseconds, so runs are
@@ -9,16 +74,12 @@ package repro.timely
   * Determinism contract: events run in `(time, insertion seq)` order, where
   * `time` is the requested time clamped to `now` and `seq` counts calls to
   * [[at]]. Since `seq` is unique the order is total, so it does not depend on
-  * the queue's implementation: a binary min-heap over primitive arrays, which
-  * allocates nothing per event beyond the action itself.
+  * the queue's implementation, an [[EventHeap]] of actions.
   */
 final class Sim {
-  private var times   = Array.emptyLongArray
-  private var seqs    = Array.emptyLongArray
-  private var actions = new Array[() => Unit](0)
-  private var size    = 0
-  private var seqCtr  = 0L
-  private var nowNs   = 0L
+  private val events = new EventHeap[() => Unit]
+  private var seqCtr = 0L
+  private var nowNs  = 0L
 
   /** Current simulated time in nanoseconds. */
   def now: Long = nowNs
@@ -26,69 +87,22 @@ final class Sim {
   /** Schedule `action` at simulated time `t` (clamped to `now`). */
   def at(t: Long)(action: => Unit): Unit = {
     seqCtr += 1
-    push(math.max(t, nowNs), seqCtr, () => action)
+    events.push(math.max(t, nowNs), seqCtr, () => action)
   }
 
   /** Run events until the queue is empty or simulated time exceeds `until`. */
   def run(until: Long = Long.MaxValue): Unit = {
-    while (size > 0 && times(0) <= until) {
-      nowNs = times(0)
-      pop()()
+    while (!events.isEmpty && events.minTime <= until) {
+      nowNs = events.minTime
+      val action = events.minItem
+      events.removeMin()
+      action()
     }
     if (until != Long.MaxValue && nowNs < until) nowNs = until
   }
 
   /** True if no events remain. */
-  def idle: Boolean = size == 0
-
-  private def before(i: Int, j: Int): Boolean =
-    times(i) < times(j) || (times(i) == times(j) && seqs(i) < seqs(j))
-
-  private def set(i: Int, t: Long, s: Long, a: () => Unit): Unit = { times(i) = t; seqs(i) = s; actions(i) = a }
-
-  private def move(from: Int, to: Int): Unit = set(to, times(from), seqs(from), actions(from))
-
-  private def push(t: Long, s: Long, a: () => Unit): Unit = {
-    if (size == times.length) {
-      val cap = math.max(64, size * 2)
-      times = java.util.Arrays.copyOf(times, cap)
-      seqs = java.util.Arrays.copyOf(seqs, cap)
-      actions = java.util.Arrays.copyOf(actions, cap)
-    }
-    // Sift up: move parents down until the new event's slot is found.
-    var i = size
-    size += 1
-    while (i > 0 && { val p = (i - 1) >>> 1; t < times(p) || (t == times(p) && s < seqs(p)) }) {
-      val p = (i - 1) >>> 1
-      move(p, i)
-      i = p
-    }
-    set(i, t, s, a)
-  }
-
-  /** Remove the earliest event and return its action. */
-  private def pop(): () => Unit = {
-    val top = actions(0)
-    size -= 1
-    if (size > 0) {
-      // Sift the last event down from the root.
-      val last = size
-      var i    = 0
-      var done = false
-      while (!done) {
-        val l = 2 * i + 1
-        if (l >= size) done = true
-        else {
-          val c = if (l + 1 < size && before(l + 1, l)) l + 1 else l
-          if (before(c, last)) { move(c, i); i = c }
-          else done = true
-        }
-      }
-      move(last, i)
-    }
-    actions(size) = null
-    top
-  }
+  def idle: Boolean = events.isEmpty
 }
 
 /** A simulated worker: a single CPU with a FIFO run queue.
@@ -115,9 +129,6 @@ final class SimWorker(val id: Int, sim: Sim) {
 
   /** Inject an exogenous stall (scheduling noise, GC hiccup). */
   def stall(costNs: Long): Unit = exec(costNs)(_ => ())
-
-  /** Earliest time new work could start. */
-  def freeTime: Long = math.max(freeAt, sim.now)
 }
 
 /** Simulated network: per-source-NIC serialization bandwidth plus a fixed

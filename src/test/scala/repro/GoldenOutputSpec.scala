@@ -4,7 +4,7 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.harness.{CountingWorkload, LatencyHistogram, LatencySeries}
-import repro.nexmark.{EventGen, QueryRig}
+import repro.nexmark.QueryRig
 import repro.nexmark.QueryRig.NexConfig
 import scala.collection.mutable
 
@@ -62,8 +62,9 @@ class GoldenOutputSpec extends AnyFunSuite {
     }
   }
 
-  /** NEXMark `q` with the canonical migrations under batched(4): outputs in
-    * emission order, latency CCDF and migration times.
+  /** NEXMark `q` under `QueryRig.drive`, the experiments' driver, with the
+    * canonical migrations under batched(4): outputs in emission order,
+    * latency CCDF and migration times.
     */
   private def nexmarkHash(q: Int): String = {
     val cfg = NexConfig(
@@ -76,33 +77,13 @@ class GoldenOutputSpec extends AnyFunSuite {
       cost = CostModel.keyCount.copy(perRecordNs = 250.0),
       seed = 3L,
     )
-    val horizonNs = 600_000_000L
-    val epochNs   = cfg.cost.epochNs
-    val hist      = new LatencyHistogram
-    val series    = new LatencySeries
-    val outs      = mutable.ArrayBuffer.empty[Product]
-    val built     = QueryRig.build(q, cfg, hist, series, collect = outs)
-    val sim       = built.sim
-    val gen       = new EventGen(epochNs, (cfg.ratePerSec * epochNs / 1_000_000_000L).toInt, cfg.auctionLifeNs, cfg.seed)
-    val migs      = mutable.ArrayBuffer.empty[(Long, Long)]
-
-    def inject(e: Long): Unit = {
-      val t = e * epochNs
-      if (t >= horizonNs) { built.closeData(); return }
-      built.send(t, gen.epoch(e))
-      built.advance(t + epochNs)
-      built.controlAdvance(t + epochNs)
-      sim.at(t + 2 * epochNs)(inject(e + 1))
-    }
-    sim.at(epochNs)(inject(0L))
-    built.migrate(horizonNs / 3, Batched(4), Moves.imbalance(built.mainBins, cfg.workers), (b, e) => {
-      migs += ((b, e))
-      built.migrate(math.max(e + 1, 2 * horizonNs / 3), Batched(4), Moves.rebalance(built.mainBins, cfg.workers),
-        (b2, e2) => { migs += ((b2, e2)); sim.at(math.max(sim.now, horizonNs))(built.closeControl()) })
-    })
-    sim.run()
-    assert(built.drained() && migs.size == 2 && outs.nonEmpty)
-    new Hash().addAll(outs).addAll(hist.ccdf).addAll(series.rows).addAll(migs).add(sim.now).hex
+    val hist   = new LatencyHistogram
+    val series = new LatencySeries
+    val outs   = mutable.ArrayBuffer.empty[Product]
+    val built  = QueryRig.build(q, cfg, hist, series, collect = outs)
+    val migs   = QueryRig.drive(built, cfg, 600_000_000L, Some(Batched(4)))
+    assert(migs.size == 2 && outs.nonEmpty)
+    new Hash().addAll(outs).addAll(hist.ccdf).addAll(series.rows).addAll(migs).add(built.sim.now).hex
   }
 
   test("NEXMark Q4 reproduces its simulated outputs in emission order") {

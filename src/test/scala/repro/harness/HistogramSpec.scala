@@ -54,14 +54,6 @@ class HistogramSpec extends AnyFunSuite {
     assert(h.count == 3.0 && h.max == 5000L)
   }
 
-  test("merge combines mass and maxima") {
-    val a = new LatencyHistogram
-    val b = new LatencyHistogram
-    a.add(100); b.add(10_000)
-    a.merge(b)
-    assert(a.count == 2.0 && a.max == 10_000L)
-  }
-
   test("ccdf is nonincreasing and starts at 1") {
     val h = new LatencyHistogram
     (1 to 100).foreach(i => h.add(i.toLong * 97))

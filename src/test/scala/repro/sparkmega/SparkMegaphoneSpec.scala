@@ -27,7 +27,7 @@ class SparkMegaphoneSpec extends SparkSpec {
     }
 
   test("counts equal DuckDB aggregation over all batches (no migration)") {
-    val bs  = batches(4, 2000, 500)
+    val bs  = batches(4, 2000, 500).map(_.withColumn("value", $"key" % 7 + 1))
     val eng = new SparkMegaphone(spark, Bins, Workers)
     bs.foreach(eng.processBatch(_))
     val all = bs.reduce(_ union _)
@@ -47,22 +47,6 @@ class SparkMegaphoneSpec extends SparkSpec {
       eng.state.select($"key", $"cnt"),
       "SELECT CAST(key AS BIGINT) AS key, SUM(CAST(value AS BIGINT)) AS cnt FROM input GROUP BY key",
       "input" -> b,
-    )
-    eng.close()
-  }
-
-  test("TPC-H-lite: streamed lineitem quantities per part match DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val bs = Seq($"l_orderkey" < 500, $"l_orderkey" >= 500 && $"l_orderkey" < 1000, $"l_orderkey" >= 1000)
-      .map(p => li.filter(p).select($"l_partkey" as "key", $"l_quantity".cast("long") as "value"))
-    val eng = new SparkMegaphone(spark, Bins, Workers)
-    bs.foreach(eng.processBatch(_))
-    Oracle.assertEquivalent(
-      eng.state.select($"key", $"cnt"),
-      // floor(): DuckDB rounds double→bigint casts, Spark truncates.
-      "SELECT CAST(l_partkey AS BIGINT) AS key, SUM(CAST(floor(CAST(l_quantity AS DOUBLE)) AS BIGINT)) AS cnt " +
-        "FROM lineitem GROUP BY l_partkey",
-      "lineitem" -> li,
     )
     eng.close()
   }
