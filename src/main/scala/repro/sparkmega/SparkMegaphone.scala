@@ -18,15 +18,23 @@ import scala.collection.mutable
   * binned state of §4.2). The configuration function is a bin → worker
   * routing table, and a migration is — exactly as in §3.3 — a set of
   * `(bin, worker)` updates taking effect at a batch boundary (the logical
-  * timestamp). One batch runs in two steps:
+  * timestamp). One batch runs in two steps, and each ships whole blocks of
+  * primitive arrays, never one record per key or row:
   *
-  *  - Migration. Only the updated bins' rows are shuffled, to their new
-  *    owners, where they are merged in; the staying bins' maps are carried
-  *    over untouched. The migration's cost is therefore precisely the moving
-  *    bins' rows: all-at-once pays it in one batch, fluid/batched spread it.
-  *  - Fold. The batch is combined per key map-side and shuffled straight to
-  *    each key's owner under the routing after the migration, then zipped
-  *    with the state. Only the aggregated batch is shuffled.
+  *  - Migration. Each holder takes the updated bins it holds out of its
+  *    state and ships every such bin as one block (bin, keys, counts) to the
+  *    bin's new owner, which rebuilds the bin's map from it (§3.4: the bin is
+  *    the unit of state). The staying bins' maps are carried over untouched.
+  *    The migration's cost is therefore precisely the moving bins' rows:
+  *    all-at-once pays it in one batch, fluid/batched spread it.
+  *  - Fold. Each map partition of the batch sums its rows per key into one
+  *    table per owner under the routing after the migration, and ships each
+  *    non-empty table as one block (keys, sums) to that owner, where it is
+  *    zipped with the state. Only the aggregated batch is shuffled.
+  *
+  * Both shuffles use `partitionBy` under the identity partitioner with no
+  * aggregator, so with up to 200 workers (Spark's default bypass threshold)
+  * Spark writes them with its bypass-merge writer.
   *
   * Each step ends in a commit: `localCheckpoint` and one action, which
   * materialises the new state and cuts its lineage. Committed maps are never
@@ -101,32 +109,42 @@ final class SparkMegaphone(
 
   /** One micro-batch: apply configuration updates (migrating exactly the
     * updated bins' rows), then fold the batch into per-key counts. `batch`
-    * has columns (key: Long, value: Long).
+    * has columns (key: Long, value: Long). Every update's bin must lie in
+    * `[0, numBins)` and its worker in `[0, numWorkers)`; otherwise this
+    * throws before the routing changes. When a bin is updated more than
+    * once, the last update wins.
     */
   def processBatch(batch: DataFrame, updates: Seq[(Int, Int)] = Nil): BatchResult = {
     val tAll = System.nanoTime()
     val nb   = numBins
+    updates.foreach { case (b, w) =>
+      require(b >= 0 && b < numBins, s"bin $b outside [0, $numBins)")
+      require(w >= 0 && w < numWorkers, s"worker $w outside [0, $numWorkers)")
+    }
+    updates.foreach { case (b, w) => routing(b) = w }
+    // Both shuffles route by one snapshot, which later batches cannot change.
+    val owners = routing.clone()
 
-    // ---- migration: reroute the updated bins and shuffle exactly their rows.
-    // Both sides touch only the updated bins; the other bins' maps carry over.
+    // ---- migration: ship each updated bin a worker holds as one block to its
+    // new owner. Both sides touch only the updated bins; the others carry over.
     var migrateMillis = 0L
     var movedRows     = 0L
     if (updates.nonEmpty) {
-      val t0 = System.nanoTime()
-      updates.foreach { case (b, w) => routing(b) = w }
+      val t0    = System.nanoTime()
       val moved = updates.map(_._1).distinct.toArray
       val leaving = parts
-        .flatMap { case (_, bins) => moved.iterator.filter(bins(_) != null).flatMap(bins(_).iterator) }
-        .partitionBy(new ByOwner(routing.clone(), numWorkers))
+        .flatMap { case (_, bins) =>
+          moved.iterator.filter(bins(_) != null).map { b =>
+            val (keys, counts) = toBlock(bins(b))
+            (owners(b), (b, keys, counts))
+          }
+        }
+        .partitionBy(new ByWorker(numWorkers))
       val next = parts.zipPartitions(leaving, preservesPartitioning = true) { (st, arriving) =>
         val (w, old) = st.next()
         val bins     = old.clone()
         moved.foreach(bins(_) = null)
-        arriving.foreach { case (k, c) =>
-          val b = binOf(k, nb)
-          if (bins(b) == null) bins(b) = mutable.LongMap.empty[Long]
-          bins(b)(k) = c
-        }
+        arriving.foreach { case (_, (b, keys, counts)) => bins(b) = mutable.LongMap.fromZip(keys, counts) }
         Iterator.single((w, bins))
       }
       movedRows = commit(next)(bins => moved.iterator.filter(bins(_) != null).map(bins(_).size.toLong).sum)
@@ -136,22 +154,36 @@ final class SparkMegaphone(
     // ---- state update: fold the batch into per-key counts at their owners.
     // `toRdd` skips the conversion to external rows; the two longs are read
     // out of each (reused) internal row at once.
+    val nw = numWorkers
     val deltas = batch
       .select(col("key").cast("long"), col("value").cast("long"))
       .queryExecution.toRdd
-      .map(r => (r.getLong(0), r.getLong(1)))
-      .reduceByKey(new ByOwner(routing.clone(), numWorkers), _ + _)
-    val next = parts.zipPartitions(deltas, preservesPartitioning = true) { (st, ds) =>
+      .mapPartitions { rows =>
+        val sums = Array.fill(nw)(mutable.LongMap.empty[Long])
+        rows.foreach { r =>
+          val k = r.getLong(0)
+          val s = sums(owners(binOf(k, nb)))
+          s(k) = s.getOrElse(k, 0L) + r.getLong(1)
+        }
+        sums.indices.iterator.filter(sums(_).nonEmpty).map(w => (w, toBlock(sums(w))))
+      }
+      .partitionBy(new ByWorker(numWorkers))
+    val next = parts.zipPartitions(deltas, preservesPartitioning = true) { (st, blocks) =>
       val (w, old) = st.next()
       val bins     = old.clone()
       val copied   = new Array[Boolean](nb) // bins already copied for this batch
-      ds.foreach { case (k, d) =>
-        val b = binOf(k, nb)
-        if (!copied(b)) {
-          bins(b) = if (bins(b) == null) mutable.LongMap.empty[Long] else bins(b).clone()
-          copied(b) = true
+      blocks.foreach { case (_, (keys, sums)) =>
+        var i = 0
+        while (i < keys.length) {
+          val k = keys(i)
+          val b = binOf(k, nb)
+          if (!copied(b)) {
+            bins(b) = if (bins(b) == null) mutable.LongMap.empty[Long] else bins(b).clone()
+            copied(b) = true
+          }
+          bins(b)(k) = bins(b).getOrElse(k, 0L) + sums(i)
+          i += 1
         }
-        bins(b)(k) = bins(b).getOrElse(k, 0L) + d
       }
       Iterator.single((w, bins))
     }
@@ -182,10 +214,13 @@ object SparkMegaphone {
     def getPartition(worker: Any): Int = worker.asInstanceOf[Int]
   }
 
-  /** Sends a key to the owner of its bin under a routing snapshot. */
-  private final class ByOwner(owners: Array[Int], workers: Int) extends Partitioner {
-    def numPartitions: Int          = workers
-    def getPartition(key: Any): Int = owners(binOf(key.asInstanceOf[Long], owners.length))
+  /** A key → value map as one block: its keys and values, in the same order. */
+  private def toBlock(m: mutable.LongMap[Long]): (Array[Long], Array[Long]) = {
+    val keys   = new Array[Long](m.size)
+    val values = new Array[Long](m.size)
+    var i      = 0
+    m.foreachEntry { (k, v) => keys(i) = k; values(i) = v; i += 1 }
+    (keys, values)
   }
 
   /** Migration schedules at micro-batch granularity: which updates take

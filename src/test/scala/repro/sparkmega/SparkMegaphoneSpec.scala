@@ -124,20 +124,26 @@ class SparkMegaphoneSpec extends SparkSpec {
     val (_, onEmpty) = shuffleRecords(empty.processBatch(b))
     val (_, onLarge) = shuffleRecords(large.processBatch(b))
     assert(onEmpty > 0 && onEmpty == onLarge, s"$onEmpty records on an empty state, $onLarge on ${large.state.count()} rows")
+    val blocks = b.rdd.getNumPartitions.toLong * Workers
+    assert(onEmpty <= blocks, s"$onEmpty records for at most $blocks (batch partition, owner) blocks")
     empty.close(); large.close()
   }
 
-  test("a migration batch shuffles exactly the moved rows on top of the fold") {
-    val history   = batches(3, 3000, 1000)
-    val b         = batches(1, 500, 1000, seed = 99L).head
-    val plain     = new SparkMegaphone(spark, Bins, Workers)
-    val migrating = new SparkMegaphone(spark, Bins, Workers)
-    history.foreach { h => plain.processBatch(h); migrating.processBatch(h) }
-    val (_, foldOnly)  = shuffleRecords(plain.processBatch(b))
-    val (res, withMig) = shuffleRecords(migrating.processBatch(b, SparkMegaphone.imbalance(Bins, Workers)))
-    assert(res.movedRows > 0 && withMig - foldOnly == res.movedRows,
-      s"fold alone $foldOnly records, with migration $withMig, moved rows ${res.movedRows}")
-    plain.close(); migrating.close()
+  test("a migration ships one record per moved bin holding rows") {
+    val b   = batches(1, 500, 1000, seed = 99L).head
+    val eng = new SparkMegaphone(spark, Bins, Workers)
+    batches(3, 3000, 1000).foreach(eng.processBatch(_))
+    val moves = SparkMegaphone.imbalance(Bins, Workers)
+    // (bin, rows) of every moved bin holding rows, just before the batch.
+    val held = eng.state.filter($"bin".isin(moves.map(_._1): _*)).groupBy($"bin").count().as[(Int, Long)].collect()
+    val (res, withMig) = shuffleRecords(eng.processBatch(b, moves))
+    // The same batch under the same (post-migration) routing, without updates.
+    val (_, foldOnly)  = shuffleRecords(eng.processBatch(b))
+    assert(withMig - foldOnly == held.length,
+      s"fold alone $foldOnly records, with migration $withMig, ${held.length} moved bins hold rows")
+    assert(res.movedRows > 0)
+    assert(res.movedRows == held.map(_._2).sum, s"moved ${res.movedRows} rows, the moved bins held ${held.map(_._2).sum}")
+    eng.close()
   }
 
   test("a long run migrating away and back stays exact, and its lineage stays bounded") {
@@ -213,6 +219,40 @@ class SparkMegaphoneSpec extends SparkSpec {
     eng.processBatch(empty, moves)
     eng.processBatch(empty, moves.map { case (b, _) => (b, b % Workers) }) // move back
     moves.foreach { case (b, _) => assert(eng.currentOwner(b) == b % Workers) }
+    eng.close()
+  }
+
+  test("an out-of-range update fails before the routing changes") {
+    val bs  = batches(2, 1000, 300, seed = 500L)
+    val eng = new SparkMegaphone(spark, Bins, Workers)
+    eng.processBatch(bs(0))
+    for (bad <- Seq((Bins, 0), (-1, 0), (3, Workers), (3, -1)))
+      intercept[IllegalArgumentException](eng.processBatch(bs(1), Seq((0, 1), bad)))
+    (0 until Bins).foreach(b => assert(eng.currentOwner(b) == b % Workers, s"bin $b"))
+    eng.processBatch(bs(1))
+    Oracle.assertEquivalent(
+      eng.state.select($"key", $"cnt"),
+      "SELECT CAST(key AS BIGINT) AS key, SUM(CAST(value AS BIGINT)) AS cnt FROM input GROUP BY key",
+      "input" -> bs.reduce(_ union _),
+    )
+    eng.close()
+  }
+
+  test("a repeated bin's last update wins; a self-move ships to itself") {
+    val bs      = batches(3, 1500, 400, seed = 600L)
+    val updates = Seq((3, 5), (7, 7 % Workers), (3, 6))
+    val eng     = new SparkMegaphone(spark, Bins, Workers)
+    eng.processBatch(bs(0))
+    eng.processBatch(bs(1), updates)
+    eng.processBatch(bs(2))
+    Oracle.assertEquivalent(
+      eng.state.select($"key", $"cnt"),
+      "SELECT CAST(key AS BIGINT) AS key, SUM(CAST(value AS BIGINT)) AS cnt FROM input GROUP BY key",
+      "input" -> bs.reduce(_ union _),
+    )
+    assert(eng.currentOwner(3) == 6 && eng.currentOwner(7) == 7 % Workers)
+    val placed = eng.state.filter($"bin".isin(3, 7)).select($"bin", $"worker").distinct().as[(Int, Int)].collect()
+    assert(placed.toSet == Set((3, 6), (7, 7 % Workers)), placed.mkString(","))
     eng.close()
   }
 }
