@@ -1,7 +1,8 @@
 package repro.core
 
-import repro.timely.{Net, Sim, SimWorker, Tracker}
+import repro.timely.{EventHeap, Net, Sim, SimWorker, Tracker}
 import scala.collection.{immutable, mutable}
+import MegaphoneEngine.OnLatency
 
 /** The Megaphone construction of §3.4 over the simulated timely substrate.
   *
@@ -31,10 +32,8 @@ final class MegaphoneEngine[K, V, O](
     binOf: K => Int,
     /** (completionNs, recordTime, output, weight) for every emitted output. */
     onOutput: (Long, Long, O, Long) => Unit = null,
-    /** (loNs, hiNs, weight): applied input records arrived uniformly over
-      * [recTime, recTime+epochNs), so their latencies span [loNs, hiNs].
-      */
-    onLatency: (Long, Long, Long) => Unit = null,
+    /** Latencies of every applied input record (see [[OnLatency]]). */
+    onLatency: OnLatency = null,
     noiseSeed: Long = 0xC0FFEEL,
 ) {
   require(numWorkers > 0 && numBins >= numWorkers, "need at least one bin per worker")
@@ -99,12 +98,24 @@ final class MegaphoneEngine[K, V, O](
 
   // -------------------------------------------------------------- operators
 
-  /** Input records buffered at S for one time, and the number of messages
-    * (probe holds) that brought them.
+  /** One F→S data message: the records F routed to worker `dst` at time
+    * `t`. It is its own delivery callback, so a send allocates nothing else.
+    * Buffered at S, it also takes in the records of the messages that arrive
+    * later for the same time (see [[SOp.receive]]): the first `n` of `recs`
+    * are the records of `msgs` messages, in arrival order.
     */
-  final class Pending {
-    val recs = mutable.ArrayBuffer.empty[Rec[K, V]]
-    var msgs = 0L
+  final class Msg(val t: Long, private[MegaphoneEngine] var recs: Array[Rec[K, V]], dst: Int) extends (Long => Unit) {
+    private[MegaphoneEngine] var n    = recs.length
+    private[MegaphoneEngine] var msgs = 1L
+
+    def apply(arrival: Long): Unit = sOps(dst).receive(this)
+
+    private[MegaphoneEngine] def absorb(m: Msg): Unit = {
+      if (n + m.n > recs.length) recs = java.util.Arrays.copyOf(recs, math.max(2 * recs.length, n + m.n))
+      System.arraycopy(m.recs, 0, recs, n, m.n)
+      n += m.n
+      msgs += 1L
+    }
   }
 
   /** State-hosting operator S: installs migrated bins and applies records in
@@ -117,8 +128,13 @@ final class MegaphoneEngine[K, V, O](
 
     def ownedBins: Iterator[Bin[K, V, O]] = bins.iterator.filter(_ != null)
 
-    /** Buffered input: time → records and the number of probe holds. */
-    val pendingInput = new java.util.TreeMap[Long, Pending]()
+    /** Delivered input, one message per time, keyed by time: a message for
+      * a time already buffered is appended to that time's message. Each
+      * message delivered holds one probe pointstamp at its time until its
+      * records are applied.
+      */
+    private val input  = new EventHeap[Msg]
+    private val byTime = mutable.LongMap.empty[Msg]
 
     /** Wake-ups for post-dated work, as `(time, bin id)` pairs (the bin id in
       * the `seq` slot, no record): every owned bin with pending records has an
@@ -164,15 +180,15 @@ final class MegaphoneEngine[K, V, O](
       bins(bin.id) = bin
     }
 
-    def receive(t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      val slot = pendingInput.computeIfAbsent(t, _ => new Pending)
-      slot.recs ++= recs
-      slot.msgs += 1L
+    def receive(msg: Msg): Unit = {
+      val buffered = byTime.getOrNull(msg.t)
+      if (buffered != null) buffered.absorb(msg)
+      else { input.push(msg.t, 0L, msg); byTime(msg.t) = msg }
       // The in-flight message's pointstamp moves from `main` into S-internal
       // pending: S's *input* frontier may now pass t (which is exactly what
       // makes the records applicable) while `probe` — S's output — still
       // holds t until they are applied.
-      main.release(t)
+      main.release(msg.t)
     }
 
     def install(t: Long, bin: Bin[K, V, O]): Unit = {
@@ -197,16 +213,17 @@ final class MegaphoneEngine[K, V, O](
       if (applyQueued) return
       if (applying) throw new IllegalStateException(s"worker $worker: tryApply re-entered while applying a batch")
       val f = main.frontier
-      if ((pendingInput.isEmpty || pendingInput.firstKey() >= f) && wakeups.minTime >= f) return
+      if (input.minTime >= f && wakeups.minTime >= f) return
 
       var weight = 0L
-      while (!pendingInput.isEmpty && pendingInput.firstKey() < f) {
-        val e    = pendingInput.pollFirstEntry()
-        val t    = e.getKey
-        val recs = e.getValue.recs
-        var i    = 0
-        while (i < recs.length) {
-          val r = recs(i)
+      while (input.minTime < f) {
+        val msg = input.minItem
+        input.removeMin()
+        byTime -= msg.t
+        val t = msg.t
+        var i = 0
+        while (i < msg.n) {
+          val r = msg.recs(i)
           if (inCount == inRecs.length) {
             inTimes = java.util.Arrays.copyOf(inTimes, inCount * 2)
             inRecs = java.util.Arrays.copyOf(inRecs, inCount * 2)
@@ -222,7 +239,7 @@ final class MegaphoneEngine[K, V, O](
           holdMsgs = java.util.Arrays.copyOf(holdMsgs, holdCount * 2)
         }
         holdTimes(holdCount) = t
-        holdMsgs(holdCount) = e.getValue.msgs
+        holdMsgs(holdCount) = msg.msgs
         holdCount += 1
       }
       while (wakeups.minTime < f) {
@@ -350,8 +367,7 @@ final class MegaphoneEngine[K, V, O](
           i += 1
         }
         count(dst) = 0
-        val msg = immutable.ArraySeq.unsafeWrapArray(rs)
-        net.send(worker, dst, weight * dataBytesPerRecord)(_ => sOps(dst).receive(t, msg))
+        net.send(worker, dst, weight * dataBytesPerRecord)(new Msg(t, rs, dst))
         k += 1
       }
       java.util.Arrays.fill(batch.asInstanceOf[Array[AnyRef]], 0, n, null)
@@ -422,13 +438,15 @@ final class MegaphoneEngine[K, V, O](
   /** Ingest one configuration update (time, bin, worker). The simulation
     * keeps one shared routing table (§3.5: "although each F maintains its own
     * routing table … we present one for clarity"). A bin's update times must
-    * be monotone: a backdated update would rewrite a configuration that F may
-    * already have routed by, and its old owner would not be `assignTable`.
+    * increase: a backdated update would rewrite a configuration that F may
+    * already have routed by, and its old owner would not be `assignTable`; a
+    * second update at the same time would start a second migration of the
+    * bin from an owner it has not reached yet.
     */
   private def ingestUpdate(t: Long, bin: Int, newWorker: Int): Unit = {
     if (binHistory(bin) == null) binHistory(bin) = new BinHistory
     val history = binHistory(bin)
-    require(t >= history.lastTime, s"configuration update for bin $bin at $t is behind its update at ${history.lastTime}")
+    require(t > history.lastTime, s"configuration update for bin $bin at $t is not after its update at ${history.lastTime}")
     val oldWorker = assignTable(bin)
     history.put(t, newWorker)
     assignTable(bin) = newWorker
@@ -499,7 +517,10 @@ final class MegaphoneEngine[K, V, O](
 
     def send(t: Long, updates: Seq[(Int, Int)]): Unit = {
       require(open && t >= cap, s"control send at $t behind capability $cap (open=$open)")
-      updates.foreach { case (bin, w) => ingestUpdate(t, bin, w) }
+      // A bin named twice takes its last update.
+      val last = mutable.HashMap.empty[Int, Int]
+      updates.iterator.zipWithIndex.foreach { case ((bin, _), i) => last(bin) = i }
+      updates.iterator.zipWithIndex.foreach { case ((bin, w), i) => if (last(bin) == i) ingestUpdate(t, bin, w) }
     }
 
     /** Downgrade the capability; a no-op when `t` is already reached. */
@@ -548,18 +569,16 @@ private[core] final class BinHistory {
   /** Time of the latest update, or `Long.MinValue` if there is none. */
   def lastTime: Long = if (n == 0) Long.MinValue else times(n - 1)
 
-  /** Record that the bin belongs to `worker` from time `t` (≥ [[lastTime]]) on. */
-  def put(t: Long, worker: Int): Unit =
-    if (n > 0 && times(n - 1) == t) owners(n - 1) = worker
-    else {
-      if (n == times.length) {
-        times = java.util.Arrays.copyOf(times, n * 2)
-        owners = java.util.Arrays.copyOf(owners, n * 2)
-      }
-      times(n) = t
-      owners(n) = worker
-      n += 1
+  /** Record that the bin belongs to `worker` from time `t` (> [[lastTime]]) on. */
+  def put(t: Long, worker: Int): Unit = {
+    if (n == times.length) {
+      times = java.util.Arrays.copyOf(times, n * 2)
+      owners = java.util.Arrays.copyOf(owners, n * 2)
     }
+    times(n) = t
+    owners(n) = worker
+    n += 1
+  }
 
   /** Owner by the latest update at or before `t`, or -1 if there is none. */
   def ownerAt(t: Long): Int =
@@ -568,4 +587,17 @@ private[core] final class BinHistory {
       val i = java.util.Arrays.binarySearch(times, 0, n, t)
       if (i >= 0) owners(i) else if (i == -1) -1 else owners(-i - 2)
     }
+}
+
+object MegaphoneEngine {
+
+  /** Receives the latency of every applied input record, with primitive
+    * parameters so that nothing is boxed per record. A record at time `t`
+    * arrived uniformly over `[t, t + epochNs)`, so its `weight` latencies
+    * when applied at `done` span `[loNs, hiNs]` =
+    * `[max(0, done - t - epochNs), max(1, done - t)]`.
+    */
+  trait OnLatency {
+    def apply(loNs: Long, hiNs: Long, weight: Long): Unit
+  }
 }

@@ -2,6 +2,7 @@ package repro.harness
 
 import repro.core._
 import repro.timely.Sim
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** The counting micro-benchmark of §5.2/§5.3: a stream of identifiers drawn
@@ -16,13 +17,18 @@ import scala.collection.mutable
   */
 object CountingWorkload {
 
+  /** One bin-key's count, updated in place so that a fold boxes nothing. */
+  final class Count { var n = 0L }
+
   /** Count state per bin-key; aggregate mode keeps one entry per bin. */
   final class CountLogic extends BinLogic[Int, Unit, Unit] {
-    type St = Long
-    def init(key: Int): Long = 0L
-    def fold(time: Long, rec: Rec[Int, Unit], state: Long, out: Unit => Unit, notify: (Long, Rec[Int, Unit]) => Unit): Long =
-      state + rec.weight
-    override def stateBytes(state: Long): Long = 0L // modeled via Bin.modeledBytes
+    type St = Count
+    def init(key: Int): Count = new Count
+    def fold(time: Long, rec: Rec[Int, Unit], state: Count, out: Unit => Unit, notify: (Long, Rec[Int, Unit]) => Unit): Count = {
+      state.n += rec.weight
+      state
+    }
+    override def stateBytes(state: Count): Long = 0L // modeled via Bin.modeledBytes
   }
 
   final case class Config(
@@ -110,12 +116,18 @@ object CountingWorkload {
         val weight = carry(w).toLong
         if (weight > 0) {
           carry(w) -= weight
-          val base = weight / groups
-          val recs = (0 until groups).map { g =>
+          // Group g weighs base + (g < extra); with base 0 only the first
+          // `extra` groups carry any.
+          val base  = weight / groups
+          val extra = weight % groups
+          val recs  = new Array[Rec[Int, Unit]](if (base > 0) groups else extra.toInt)
+          var g     = 0
+          while (g < recs.length) {
             val bin = (((epoch * cfg.workers + w) * groups + g) * 2654435761L % bins).toInt
-            Rec[Int, Unit](bin, (), base + (if (g < weight % groups) 1 else 0))
-          }.filter(_.weight > 0)
-          engine.dataInput.send(w, t, recs)
+            recs(g) = Rec[Int, Unit](bin, (), base + (if (g < extra) 1 else 0))
+            g += 1
+          }
+          engine.dataInput.send(w, t, ArraySeq.unsafeWrapArray(recs))
         }
         w += 1
       }

@@ -30,11 +30,20 @@ final class LatencyHistogram {
     var b    = bucketOf(l)
     val bEnd = bucketOf(h)
     while (b <= bEnd) {
-      val bLo     = bucketLow(b)
-      val bHi     = bucketLow(b + 1)
-      val overlap = math.min(h + 1, bHi) - math.max(l, bLo)
-      if (overlap > 0) counts(b) += weight * (overlap / span)
-      b += 1
+      val bLo = bucketLow(b)
+      val bHi = bucketLow(b + 1)
+      if (b >= ExactFrom && b < bEnd && bLo >= l) {
+        // Every bucket from b up to the last one below bEnd is covered in
+        // full, and those of b's power of two share its width: compute their
+        // share `weight * (overlap / span)` once.
+        val share = weight * ((bHi - bLo) / span)
+        val stop  = math.min(b | (SubBuckets - 1), bEnd - 1)
+        while (b <= stop) { counts(b) += share; b += 1 }
+      } else {
+        val overlap = math.min(h + 1, bHi) - math.max(l, bLo)
+        if (overlap > 0) counts(b) += weight * (overlap / span)
+        b += 1
+      }
     }
   }
 
@@ -69,8 +78,14 @@ final class LatencyHistogram {
 
 object LatencyHistogram {
   /** 16 sub-buckets per power of two, 64 powers. */
-  private val SubBits = 4
-  private val Buckets = 64 << SubBits
+  private val SubBits    = 4
+  private val SubBuckets = 1 << SubBits
+  private val Buckets    = 64 << SubBits
+
+  /** Buckets from here on (values from 16 ns) split their power of two into
+    * equal widths.
+    */
+  private val ExactFrom = SubBits << SubBits
 
   private[harness] def bucketOf(ns: Long): Int = {
     val v    = math.max(1L, ns)
@@ -88,25 +103,35 @@ object LatencyHistogram {
 }
 
 /** Windowed latency time-series: per fixed window of completion time, the
-  * maximum observed latency and count — the paper's 250 ms timeline samples.
+  * maximum observed latency — the paper's 250 ms timeline samples.
   */
 final class LatencySeries(val windowNs: Long = 250_000_000L) {
-  private val maxByWindow = scala.collection.mutable.LongMap.empty[Long]
+  // Maximum latency by window index; Long.MinValue where a window has none.
+  // Grown on demand, allocated on the first add.
+  private var maxByWindow = Array.emptyLongArray
 
   def add(completionNs: Long, latencyNs: Long): Unit = {
     val w = completionNs / windowNs
-    if (latencyNs > maxByWindow.getOrElse(w, Long.MinValue)) maxByWindow(w) = latencyNs
+    if (w >= maxByWindow.length) {
+      require(w < Int.MaxValue, s"window $w of completion time $completionNs is out of range")
+      val old = maxByWindow.length
+      maxByWindow = java.util.Arrays.copyOf(maxByWindow, math.max(w.toInt + 1, 2 * old))
+      java.util.Arrays.fill(maxByWindow, old, maxByWindow.length, Long.MinValue)
+    }
+    if (latencyNs > maxByWindow(w.toInt)) maxByWindow(w.toInt) = latencyNs
   }
 
   /** (windowStartNs, maxLatencyNs) ordered by time. */
   def rows: Seq[(Long, Long)] =
-    maxByWindow.toSeq.sortBy(_._1).map { case (w, m) => (w * windowNs, m) }
+    maxByWindow.indices.filter(maxByWindow(_) != Long.MinValue).map(w => (w * windowNs, maxByWindow(w)))
 
   /** Maximum latency with completion inside [fromNs, toNs]. */
   def maxIn(fromNs: Long, toNs: Long): Long = {
-    val lo = fromNs / windowNs
-    val hi = toNs / windowNs
-    val vs = maxByWindow.iterator.collect { case (w, m) if w >= lo && w <= hi => m }
-    if (vs.isEmpty) 0L else vs.max
+    val lo = math.max(0L, fromNs / windowNs)
+    val hi = math.min(maxByWindow.length - 1L, toNs / windowNs)
+    var m  = Long.MinValue
+    var w  = lo
+    while (w <= hi) { m = math.max(m, maxByWindow(w.toInt)); w += 1 }
+    if (m == Long.MinValue) 0L else m
   }
 }

@@ -3,8 +3,8 @@ package repro.timely
 /** A binary min-heap of `(time, seq, item)` triples over primitive arrays,
   * ordered by `(time, seq)` with strict comparisons in both sifts. It
   * allocates nothing per entry beyond the item itself; the arrays are
-  * allocated on the first [[push]]. [[Sim]]'s event queue and the engine's
-  * notificators are instances of it.
+  * allocated on the first [[push]]. [[Sim]]'s event queue, the engine's
+  * notificators and S's input buffer are instances of it.
   */
 class EventHeap[A <: AnyRef] {
   private var times = Array.emptyLongArray
@@ -72,31 +72,42 @@ class EventHeap[A <: AnyRef] {
   * paper's wall-clock measurements on a 16-worker cluster (see DESIGN.md).
   *
   * Determinism contract: events run in `(time, insertion seq)` order, where
-  * `time` is the requested time clamped to `now` and `seq` counts calls to
-  * [[at]]. Since `seq` is unique the order is total, so it does not depend on
-  * the queue's implementation, an [[EventHeap]] of actions.
+  * `time` is the requested time clamped to `now` and `seq` counts every event
+  * scheduled, by [[at]], by [[SimWorker.exec]] or by [[Net.send]]. Since `seq`
+  * is unique the order is total, so it does not depend on how the queue is
+  * kept. It is kept as an [[EventHeap]] of callbacks plus FIFO [[Lane]]s: a
+  * worker's completions and one source NIC's remote deliveries are each
+  * scheduled in nondecreasing `(time, seq)` order, so each goes to a lane of
+  * its own and only the lane's head waits in the heap.
   */
 final class Sim {
-  private val events = new EventHeap[() => Unit]
+  private val events = new EventHeap[Long => Unit]
   private var seqCtr = 0L
   private var nowNs  = 0L
+  private var ran    = 0L
 
   /** Current simulated time in nanoseconds. */
   def now: Long = nowNs
 
+  /** Number of events run so far. */
+  def executed: Long = ran
+
   /** Schedule `action` at simulated time `t` (clamped to `now`). */
-  def at(t: Long)(action: => Unit): Unit = {
-    seqCtr += 1
-    events.push(math.max(t, nowNs), seqCtr, () => action)
-  }
+  def at(t: Long)(action: => Unit): Unit = push(math.max(t, nowNs), nextSeq(), _ => action)
+
+  /** Queue `f`, which is called with its time `t` (at least `now`). */
+  private[timely] def push(t: Long, seq: Long, f: Long => Unit): Unit = events.push(t, seq, f)
+
+  private[timely] def nextSeq(): Long = { seqCtr += 1; seqCtr }
 
   /** Run events until the queue is empty or simulated time exceeds `until`. */
   def run(until: Long = Long.MaxValue): Unit = {
     while (!events.isEmpty && events.minTime <= until) {
       nowNs = events.minTime
-      val action = events.minItem
+      val f = events.minItem
       events.removeMin()
-      action()
+      ran += 1
+      f(nowNs)
     }
     if (until != Long.MaxValue && nowNs < until) nowNs = until
   }
@@ -105,26 +116,92 @@ final class Sim {
   def idle: Boolean = events.isEmpty
 }
 
+/** A FIFO of events whose times never decrease, each with a `Long` tag
+  * passed to [[popped]] just before its callback runs. While the lane is
+  * non-empty its head, and only its head, is in [[Sim]]'s heap; running the
+  * head puts the next one there. The ring buffer is allocated on the first
+  * [[push]].
+  */
+private[timely] class Lane(sim: Sim) extends (Long => Unit) {
+  private var times = Array.emptyLongArray
+  private var seqs  = Array.emptyLongArray
+  private var tags  = Array.emptyLongArray
+  private var items = new Array[Long => Unit](0)
+  private var head  = 0
+  private var n     = 0
+  private var last  = 0L
+
+  /** Append `f` at `t`, which must be no earlier than the lane's last time
+    * nor than `now`.
+    */
+  def push(t: Long, f: Long => Unit, tag: Long = 0L): Unit = {
+    if (t < last || t < sim.now)
+      throw new IllegalArgumentException(s"requirement failed: lane time $t is behind ${math.max(last, sim.now)}")
+    last = t
+    val seq = sim.nextSeq()
+    if (n == times.length) grow()
+    val i = (head + n) & (times.length - 1)
+    times(i) = t; seqs(i) = seq; tags(i) = tag; items(i) = f
+    if (n == 0) sim.push(t, seq, this)
+    n += 1
+  }
+
+  /** Called by [[Sim]] when the head is due: runs the head's callback. */
+  def apply(t: Long): Unit = {
+    val f   = items(head)
+    val tag = tags(head)
+    items(head) = null
+    head = (head + 1) & (times.length - 1)
+    n -= 1
+    if (n > 0) sim.push(times(head), seqs(head), this)
+    popped(tag)
+    f(t)
+  }
+
+  /** Hook run with an event's tag just before its callback. */
+  protected def popped(tag: Long): Unit = ()
+
+  /** Double the full ring, unwrapping it to start at 0. */
+  private def grow(): Unit = {
+    val cap   = math.max(8, 2 * times.length)
+    val first = times.length - head
+    def copy[A <: AnyRef](a: A, b: A): A = {
+      System.arraycopy(a, head, b, 0, first)
+      System.arraycopy(a, 0, b, first, head)
+      b
+    }
+    times = copy(times, new Array[Long](cap))
+    seqs = copy(seqs, new Array[Long](cap))
+    tags = copy(tags, new Array[Long](cap))
+    items = copy(items, new Array[Long => Unit](cap))
+    head = 0
+  }
+}
+
 /** A simulated worker: a single CPU with a FIFO run queue.
   *
   * `exec` charges `costNs` of CPU time starting no earlier than both `sim.now`
   * and the completion of previously submitted work; queueing delay under load
-  * is what produces the paper's latency spikes.
+  * is what produces the paper's latency spikes. Completions are therefore
+  * nondecreasing in time and wait in the worker's [[Lane]].
   */
 final class SimWorker(val id: Int, sim: Sim) {
   private var freeAt = 0L
+  private val done   = new Lane(sim)
 
   /** Total busy nanoseconds, for utilization accounting. */
   var busyNs = 0L
 
-  /** Submit a task; `onDone` fires at its completion time. Returns that time. */
+  /** Submit a task; `onDone` is called with its completion time, when it
+    * completes. Returns that time.
+    */
   def exec(costNs: Long)(onDone: Long => Unit): Long = {
     val start = math.max(freeAt, sim.now)
-    val done  = start + math.max(0L, costNs)
-    freeAt = done
-    busyNs += done - start
-    sim.at(done)(onDone(done))
-    done
+    val end   = start + math.max(0L, costNs)
+    freeAt = end
+    busyNs += end - start
+    done.push(end, onDone)
+    end
   }
 
   /** Inject an exogenous stall (scheduling noise, GC hiccup). */
@@ -137,35 +214,41 @@ final class SimWorker(val id: Int, sim: Sim) {
   * the quantity behind the paper's Figure 20 memory spikes.
   */
 final class Net(sim: Sim, bytesPerNs: Double, latencyNs: Long) {
+
+  /** One source's NIC: its remote deliveries, in the order they leave, with
+    * each message's bytes as the tag.
+    */
+  private final class Nic extends Lane(sim) {
+    var freeAt   = 0L
+    var inFlight = 0L
+    override protected def popped(bytes: Long): Unit = inFlight -= bytes
+  }
+
   // Indexed by source worker; grown on the first send from a new source.
-  private var nicFreeAt = Array.emptyLongArray
-  private var inFlight  = Array.emptyLongArray
+  private var nics = new Array[Nic](0)
 
   /** Serialized-but-undelivered bytes sent by worker `src`. */
-  def inFlightBySrc(src: Int): Long = if (src < inFlight.length) inFlight(src) else 0L
+  def inFlightBySrc(src: Int): Long = if (src < nics.length) nics(src).inFlight else 0L
 
-  def inFlightBytes: Long = inFlight.sum
+  def inFlightBytes: Long = nics.iterator.map(_.inFlight).sum
 
-  /** Send `bytes` from `src` to `dst`; `deliver` fires at arrival time.
-    * Local sends are immediate and never counted as in flight.
+  /** Send `bytes` from `src` to `dst`; `deliver` is called with the arrival
+    * time, at arrival. Local sends are immediate and never counted as in
+    * flight.
     */
   def send(src: Int, dst: Int, bytes: Long)(deliver: Long => Unit): Unit = {
-    if (src == dst) {
-      sim.at(sim.now)(deliver(sim.now))
-    } else {
-      if (src >= nicFreeAt.length) {
-        nicFreeAt = java.util.Arrays.copyOf(nicFreeAt, src + 1)
-        inFlight = java.util.Arrays.copyOf(inFlight, src + 1)
+    if (src == dst) sim.push(sim.now, sim.nextSeq(), deliver)
+    else {
+      if (src >= nics.length) {
+        val old = nics
+        nics = Array.tabulate(src + 1)(i => if (i < old.length) old(i) else new Nic)
       }
-      val start = math.max(nicFreeAt(src), sim.now)
+      val nic   = nics(src)
+      val start = math.max(nic.freeAt, sim.now)
       val xmit  = if (bytesPerNs <= 0) 0L else math.ceil(bytes / bytesPerNs).toLong
-      val done  = start + xmit
-      nicFreeAt(src) = done
-      inFlight(src) += bytes
-      sim.at(done + latencyNs) {
-        inFlight(src) -= bytes
-        deliver(sim.now)
-      }
+      nic.freeAt = start + xmit
+      nic.inFlight += bytes
+      nic.push(nic.freeAt + latencyNs, deliver, bytes)
     }
   }
 }

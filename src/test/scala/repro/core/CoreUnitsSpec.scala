@@ -111,7 +111,8 @@ class BinSpec extends AnyFunSuite {
     b.apply(1L, Rec(7, (), 3L), _ => (), (_, _) => ())
     b.apply(2L, Rec(7, (), 2L), _ => (), (_, _) => ())
     b.apply(2L, Rec(8, (), 1L), _ => (), (_, _) => ())
-    assert(b.states(7) == 5L && b.states(8) == 1L)
+    def count(k: Int) = b.states(k).asInstanceOf[repro.harness.CountingWorkload.Count].n
+    assert(count(7) == 5L && count(8) == 1L)
   }
 
   test("sizeBytes includes modeled bytes and pending entries") {

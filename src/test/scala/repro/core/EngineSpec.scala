@@ -43,7 +43,10 @@ object WordCountRig {
   )
 
   /** Drive `epochs` of deterministic input through a fresh engine; optionally
-    * migrate per `strategy` at epoch `migrateAtEpoch`.
+    * migrate `moves` (by default [[Moves.imbalance]]) per `strategy` at epoch
+    * `migrateAtEpoch`. The control capability runs `controlLeadNs` ahead of
+    * the data's, so that the migration's updates are dated that far into the
+    * future.
     */
   def drive(
       workers: Int,
@@ -54,6 +57,8 @@ object WordCountRig {
       migrateAtEpoch: Int = 4,
       echo: Boolean = false,
       seed: Long = 7L,
+      moves: Seq[(Int, Int)] = null,
+      controlLeadNs: Long = 0L,
   ): RunOut = {
     val sim     = new Sim
     val epochNs = 1_000_000L
@@ -85,7 +90,7 @@ object WordCountRig {
         engine.dataInput.send(w, t, recs)
       }
       engine.dataInput.advanceTo(t + epochNs)
-      if (strategy.nonEmpty) engine.controlInput.advanceTo(t + epochNs)
+      if (strategy.nonEmpty) engine.controlInput.advanceTo(t + epochNs + controlLeadNs)
       sim.at(t + epochNs)(inject(e + 1))
     }
     sim.at(0L)(inject(0))
@@ -94,7 +99,8 @@ object WordCountRig {
     strategy match {
       case None => engine.controlInput.close()
       case Some(s) =>
-        controller.migrate(migrateAtEpoch.toLong * epochNs, s, Moves.imbalance(bins, workers)) { (_, _) =>
+        val ms = if (moves == null) Moves.imbalance(bins, workers) else moves
+        controller.migrate(migrateAtEpoch.toLong * epochNs, s, ms) { (_, _) =>
           engine.controlInput.close()
         }
     }
@@ -268,6 +274,23 @@ class EngineSpec extends AnyFunSuite {
       "the rejected update leaves the configuration unchanged")
   }
 
+  test("a bin named twice in one control send takes its last update") {
+    val sim = new Sim
+    val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
+      sim, 2, 4, CostModel.keyCount.copy(hiccupEveryNs = 0), new SumLogic, k => (k % 4).toInt)
+    engine.initBins()
+    // Bin 0 moves to worker 1 and back (no migration); bin 1 moves to worker 0.
+    engine.controlInput.send(1_000_000L, Seq((0, 1), (1, 0), (0, 0)))
+    assert(engine.migrationLog.map(m => (m.time, m.bin, m.from, m.to)).toSeq == Seq((1_000_000L, 1, 1, 0)))
+    val e = intercept[IllegalArgumentException](engine.controlInput.send(1_000_000L, Seq((1, 1))))
+    assert(e.getMessage.contains("bin 1"), e.getMessage)
+    engine.controlInput.close()
+    engine.dataInput.close()
+    sim.run()
+    assert(engine.currentOwner(0) == 0 && engine.sOps(0).bins(0) != null)
+    assert(engine.sOps(0).bins(1) != null && engine.sOps(1).bins(1) == null)
+  }
+
   test("a record delivered to a worker that does not own its bin fails loudly") {
     val sim = new Sim
     val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
@@ -276,7 +299,7 @@ class EngineSpec extends AnyFunSuite {
     sim.at(0) {
       // Bin 0 lives at worker 0; deliver its record to worker 1 as if routed there.
       engine.main.hold(0L); engine.probe.hold(0L)
-      engine.sOps(1).receive(0L, Seq(Rec(0L, 1L)))
+      engine.sOps(1).receive(new engine.Msg(0L, Array(Rec(0L, 1L)), 1))
       engine.dataInput.close()
     }
     engine.controlInput.close()

@@ -7,7 +7,8 @@ import repro.timely.Sim
 import scala.collection.mutable
 
 /** Random operation sequences for the notificator heap, the per-bin state
-  * table and F's send order, each checked against a plain reference model.
+  * table and F's send order, each checked against a plain reference model,
+  * and random migrations of the engine, checked against a run without one.
   */
 class PropertySpec extends AnyFunSuite {
 
@@ -81,6 +82,32 @@ class PropertySpec extends AnyFunSuite {
       val expected = mutable.ArrayBuffer.empty[Int]
       dsts.groupBy(identity).foreach { case (d, _) => expected += d }
       engine.sendOrder(count).toSeq == expected.toSeq
+    })
+  }
+
+  test("random migrations keep the final state and Properties 1-3") {
+    val (w, b) = (4, 16)
+    // Moves may name a bin twice or move it to its current owner.
+    val genMove     = for { bin <- Gen.choose(0, b - 1); to <- Gen.choose(0, w - 1) } yield (bin, to)
+    val genStrategy = Gen.oneOf(Gen.const(AllAtOnce), Gen.const(Fluid()), Gen.choose(1, 6).map(Batched(_)))
+    val genCase = for {
+      moves    <- Gen.choose(0, 24).flatMap(Gen.listOfN(_, genMove))
+      strategy <- genStrategy
+      atEpoch  <- Gen.choose(1, 10)
+      lead     <- Gen.oneOf(0L, 1L, 500_000L, 2_000_000L, 3_500_000L)
+      echo     <- Gen.oneOf(false, true)
+    } yield (moves, strategy, atEpoch, lead, echo)
+    val base = Seq(false, true).map(e => e -> WordCountRig.drive(w, b, 12, 40, strategy = None, echo = e).finalState).toMap
+    check(Prop.forAll(genCase) {
+      case (moves, strategy, atEpoch, lead, echo) =>
+        // Property 3: `drive` requires the output frontier to drain.
+        val mig = WordCountRig.drive(w, b, epochs = 12, keys = 40, strategy = Some(strategy),
+          migrateAtEpoch = atEpoch, echo = echo, moves = moves, controlLeadNs = lead)
+        // Property 1: each key's outputs follow timestamp order; Property 2:
+        // every record is applied at its configured worker.
+        mig.finalState == base(echo) &&
+          mig.outputs.groupBy(_._2).values.forall(os => os.map(_._1) == os.map(_._1).sorted) &&
+          mig.applications.forall { case (t, k, at) => mig.routeOf(t, (k % b).toInt) == at }
     })
   }
 }

@@ -86,6 +86,41 @@ class HistogramSpec extends AnyFunSuite {
     }
   }
 
+  test("property: addRange adds each bucket exactly weight * (overlap / span) (100 random cases)") {
+    import LatencyHistogram._
+    val rng = new scala.util.Random(3)
+    for (_ <- 0 until 100) {
+      // Ranges from 0 (clamped to 1) up to seconds, so both the irregular
+      // buckets below 16 ns and runs of full buckets are crossed.
+      val ranges = Seq.fill(1 + rng.nextInt(20)) {
+        val lo = if (rng.nextBoolean()) rng.nextLong(20L) else rng.nextLong(1_000_000_000L)
+        (lo, lo + rng.nextLong(2_000_000_000L), 1.0 + rng.nextInt(500))
+      }
+      val h = new LatencyHistogram
+      ranges.foreach { case (lo, hi, w) => h.addRange(lo, hi, w) }
+      // Reference: one division per bucket, buckets in order.
+      val counts = new Array[Double](1024)
+      var total  = 0.0
+      ranges.foreach { case (lo, hi, w) =>
+        val l = math.max(1L, lo)
+        val hh = math.max(l, hi)
+        total += w
+        if (l == hh) counts(bucketOf(l)) += w
+        else for (b <- bucketOf(l) to bucketOf(hh)) {
+          val overlap = math.min(hh + 1, bucketLow(b + 1)) - math.max(l, bucketLow(b))
+          if (overlap > 0) counts(b) += w * (overlap / (hh - l).toDouble)
+        }
+      }
+      var acc = total
+      val ccdf = counts.indices.flatMap { b =>
+        val row = if (counts(b) > 0) Some((bucketLow(b + 1) - 1, acc / total)) else None
+        acc -= counts(b)
+        row
+      }
+      assert(h.count == total && h.ccdf == ccdf)
+    }
+  }
+
   test("bucket boundaries are monotone and consistent with bucketOf") {
     import LatencyHistogram._
     var prev = 0L

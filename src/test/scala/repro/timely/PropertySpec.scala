@@ -5,8 +5,9 @@ import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
-/** Random schedules for the event heap of [[Sim]] and random pointstamp
-  * traffic for [[Tracker]], each checked against a plain reference model.
+/** Random schedules for [[Sim]] (its heap, worker and NIC lanes) and random
+  * pointstamp traffic for [[Tracker]], each checked against a plain
+  * reference model.
   */
 class PropertySpec extends AnyFunSuite {
   import PropertySpec._
@@ -17,16 +18,36 @@ class PropertySpec extends AnyFunSuite {
   }
 
   test("Sim runs random nested and past-clamped schedules in (max(t, now), insertion) order") {
+    // Each schedule mixes `at`, worker execs and local and remote sends.
     check(Prop.forAll(genSchedule) { case (before, after, until) =>
-      val sim = new Sim
-      val log = mutable.ArrayBuffer.empty[(Int, Long)]
-      def schedule(e: Ev): Unit = sim.at(e.t) { log += ((e.id, sim.now)); e.kids.foreach(schedule) }
+      val sim     = new Sim
+      val workers = Array.tabulate(Workers)(new SimWorker(_, sim))
+      val net     = new Net(sim, BytesPerNs, LatencyNs)
+      val log     = mutable.ArrayBuffer.empty[(Int, Long)]
+      var clockOk = true
+      def ran(o: Op, at: Long): Unit = { clockOk &&= at == sim.now; log += ((o.id, at)); o.kids.foreach(schedule) }
+      def schedule(o: Op): Unit = o match {
+        case At(_, t, _)              => sim.at(t)(ran(o, sim.now))
+        case Exec(_, w, cost, _)      => workers(w).exec(cost)(ran(o, _))
+        case Send(_, src, dst, by, _) => net.send(src, dst, by)(ran(o, _))
+      }
       before.foreach(schedule)
       sim.run(until)
       after.foreach(schedule)
       sim.run()
-      log.toSeq == reference(before, after, until) && sim.idle
+      clockOk && log.toSeq == reference(before, after, until) && sim.idle && net.inFlightBytes == 0L
     })
+  }
+
+  test("a lane rejects a time before its last one") {
+    val sim  = new Sim
+    val lane = new Lane(sim)
+    lane.push(10L, _ => ())
+    lane.push(10L, _ => ())
+    val e = intercept[IllegalArgumentException](lane.push(9L, _ => ()))
+    assert(e.getMessage.contains("lane time 9"), e.getMessage)
+    sim.run()
+    assert(sim.executed == 2L && sim.idle)
   }
 
   test("Tracker frontier is the minimum of a reference multiset; listeners and waiters fire on strict advances") {
@@ -77,32 +98,70 @@ class PropertySpec extends AnyFunSuite {
 }
 
 object PropertySpec {
-  final case class Ev(id: Int, t: Long, kids: List[Ev])
+  /** A scheduling call; `kids` are made from inside its callback. */
+  sealed trait Op { def id: Int; def kids: List[Op] }
+  final case class At(id: Int, t: Long, kids: List[Op])                           extends Op
+  final case class Exec(id: Int, worker: Int, cost: Long, kids: List[Op])         extends Op
+  final case class Send(id: Int, src: Int, dst: Int, bytes: Long, kids: List[Op]) extends Op
 
-  private def genEv(depth: Int, ids: Iterator[Int]): Gen[Ev] =
+  val Workers    = 3
+  val BytesPerNs = 0.5
+  val LatencyNs  = 7L
+
+  private def genOp(depth: Int, ids: Iterator[Int]): Gen[Op] =
     for {
-      t    <- Gen.choose(0L, 40L)
       n    <- if (depth == 0) Gen.const(0) else Gen.choose(0, 3)
-      kids <- Gen.listOfN(n, genEv(depth - 1, ids))
-    } yield Ev(ids.next(), t, kids)
+      kids <- Gen.listOfN(n, genOp(depth - 1, ids))
+      op <- Gen.frequency(
+        2 -> Gen.choose(0L, 40L).map(t => At(ids.next(), t, kids)),
+        2 -> (for { w <- Gen.choose(0, Workers - 1); c <- Gen.oneOf(Gen.const(0L), Gen.choose(0L, 12L)) }
+              yield Exec(ids.next(), w, c, kids)),
+        2 -> (for {
+                src <- Gen.choose(0, Workers - 1)
+                dst <- Gen.frequency(1 -> Gen.const(src), 2 -> Gen.choose(0, Workers - 1))
+                by  <- Gen.choose(0L, 9L)
+              } yield Send(ids.next(), src, dst, by, kids)),
+      )
+    } yield op
 
-  /** Events scheduled before `run(until)`, events scheduled after it, `until`. */
-  val genSchedule: Gen[(List[Ev], List[Ev], Long)] = Gen.delay {
+  /** Calls made before `run(until)`, calls made after it, `until`. */
+  val genSchedule: Gen[(List[Op], List[Op], Long)] = Gen.delay {
     val ids = Iterator.from(0)
     for {
-      before <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, genEv(2, ids)))
-      after  <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, genEv(2, ids)))
+      before <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, genOp(2, ids)))
+      after  <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, genOp(2, ids)))
       until  <- Gen.choose(0L, 50L)
     } yield (before, after, until)
   }
 
-  /** The schedule's (id, time) run order, by a sort over (time, insertion). */
-  def reference(before: List[Ev], after: List[Ev], until: Long): Seq[(Int, Long)] = {
-    val pending = mutable.ArrayBuffer.empty[(Long, Int, Ev)]
+  /** The (id, time) run order of a mixed schedule: each call becomes one
+    * event at its time (a worker's completion, a NIC's arrival, or the
+    * requested time), and events run by a sort over (max(time, now),
+    * insertion).
+    */
+  def reference(before: List[Op], after: List[Op], until: Long): Seq[(Int, Long)] = {
+    val pending = mutable.ArrayBuffer.empty[(Long, Int, Op)]
     val log     = mutable.ArrayBuffer.empty[(Int, Long)]
+    val freeAt  = new Array[Long](Workers)
+    val nicAt   = new Array[Long](Workers)
     var now     = 0L
     var seq     = 0
-    def schedule(e: Ev): Unit = { seq += 1; pending += ((math.max(e.t, now), seq, e)) }
+    def schedule(o: Op): Unit = {
+      val t = o match {
+        case At(_, t, _) => t
+        case Exec(_, w, cost, _) =>
+          freeAt(w) = math.max(freeAt(w), now) + cost
+          freeAt(w)
+        case Send(_, src, dst, bytes, _) =>
+          if (src == dst) now
+          else {
+            nicAt(src) = math.max(nicAt(src), now) + math.ceil(bytes / BytesPerNs).toLong
+            nicAt(src) + LatencyNs
+          }
+      }
+      seq += 1
+      pending += ((math.max(t, now), seq, o))
+    }
     def run(limit: Long): Unit = {
       var next = pending.sortBy(p => (p._1, p._2)).headOption
       while (next.exists(_._1 <= limit)) {

@@ -48,6 +48,26 @@ class SimSpec extends AnyFunSuite {
     assert(ran)
   }
 
+  test("executed counts the events run, whatever scheduled them") {
+    val sim = new Sim
+    val w   = new SimWorker(0, sim)
+    val net = new Net(sim, bytesPerNs = 1.0, latencyNs = 10L)
+    sim.at(10) {
+      sim.at(20)(())
+      w.exec(5)(_ => ())            // done at 15
+      w.exec(0)(_ => ())            // queued behind it: done at 15
+      net.send(0, 0, 8)(_ => ())    // local: at 10
+      net.send(0, 1, 8)(_ => ())    // remote: 10 + 8 + 10 = 28
+    }
+    assert(sim.executed == 0L)
+    sim.run(until = 15)
+    assert(sim.executed == 4L)
+    sim.run()
+    assert(sim.executed == 6L && sim.now == 28L)
+    sim.run()
+    assert(sim.executed == 6L)
+  }
+
   test("worker executes FIFO and accumulates queueing delay") {
     val sim = new Sim
     val w   = new SimWorker(0, sim)
