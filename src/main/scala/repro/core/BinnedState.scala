@@ -43,7 +43,7 @@ trait BinLogic[K, V, O] {
   *
   * An [[EventHeap]] keyed on `(time, seq)`: `seq` breaks timestamp ties, and
   * the engine passes an engine-global insertion counter, so replay order is
-  * total and deterministic. The heap allocates its arrays on the first
+  * total and deterministic. The heap allocates its storage on the first
   * [[schedule]]: an engine builds one notificator per bin, and most bins
   * never schedule anything.
   */
@@ -57,14 +57,15 @@ final class Notificator[K, V] extends EventHeap[Rec[K, V]] {
   /** The record with the least `(time, seq)`; call only when non-empty. */
   def minRec: Rec[K, V] = minItem
 
-  /** Move every triple with time strictly below `frontier` into `into`;
-    * returns the total weight of the records moved.
+  /** Move every triple with time strictly below `frontier` to the end of
+    * `due`, as one sorted run; returns the total weight of the records moved.
     */
-  def drainInto(frontier: Long, into: Notificator[K, V]): Long = {
+  def drainTo(frontier: Long, due: Notificator.Due[K, V]): Long = {
     var weight = 0L
+    due.startRun()
     while (minTime < frontier) {
       val r = minRec
-      into.schedule(minTime, r, minSeq)
+      due.append(minTime, minSeq, r)
       removeMin()
       weight += r.weight
     }
@@ -86,6 +87,108 @@ final class Notificator[K, V] extends EventHeap[Rec[K, V]] {
   }
 }
 
+object Notificator {
+
+  /** The post-dated records due in one batch of S: each due bin's records
+    * are appended as a run sorted by `(time, seq)`, [[sort]] merges the runs
+    * once, and the batch then reads them front to back. Runs that continue
+    * the previous one in order are not split, so a batch whose runs arrive
+    * in order is not moved at all. The arrays are allocated on the first
+    * append and reused across batches.
+    */
+  final class Due[K, V] {
+    private var times  = Array.emptyLongArray
+    private var seqs   = Array.emptyLongArray
+    private var recs   = Array.emptyObjectArray
+    private var n      = 0
+    private var starts = Array.emptyIntArray // where each unmerged run begins
+    private var runs   = 0
+    private var pos    = 0                 // the next record to read
+    private var open   = false             // true until a run's first append
+
+    // Merge targets, swapped with the arrays above after each pass.
+    private var times2 = Array.emptyLongArray
+    private var seqs2  = Array.emptyLongArray
+    private var recs2  = Array.emptyObjectArray
+
+    def isEmpty: Boolean = pos == n
+    def minTime: Long    = if (pos == n) Long.MaxValue else times(pos)
+    def minRec: Rec[K, V] = recs(pos).asInstanceOf[Rec[K, V]]
+
+    /** Drop the record at [[minTime]]; once all are read, the set is empty
+      * for the next batch.
+      */
+    def removeMin(): Unit = {
+      recs(pos) = null
+      pos += 1
+      if (pos == n) { pos = 0; n = 0; runs = 0 }
+    }
+
+    /** The next [[append]]s form a new run. */
+    def startRun(): Unit = open = true
+
+    def append(t: Long, seq: Long, rec: Rec[K, V]): Unit = {
+      if (open) {
+        open = false
+        // A run that starts at or after the previous run's end continues it.
+        if (n == 0 || t < times(n - 1) || (t == times(n - 1) && seq < seqs(n - 1))) {
+          if (runs == starts.length) starts = java.util.Arrays.copyOf(starts, math.max(4, 2 * runs))
+          starts(runs) = n
+          runs += 1
+        }
+      }
+      if (n == times.length) {
+        val cap = math.max(16, 2 * n)
+        times = java.util.Arrays.copyOf(times, cap)
+        seqs = java.util.Arrays.copyOf(seqs, cap)
+        recs = java.util.Arrays.copyOf(recs, cap)
+      }
+      times(n) = t; seqs(n) = seq; recs(n) = rec
+      n += 1
+    }
+
+    /** Merge the runs pairwise, pass by pass, into one `(time, seq)` order. */
+    def sort(): Unit = if (runs > 1) {
+      if (times2.length < n) {
+        times2 = new Array[Long](times.length)
+        seqs2 = new Array[Long](times.length)
+        recs2 = new Array[AnyRef](times.length)
+      }
+      while (runs > 1) {
+        var r    = 0
+        var kept = 0
+        while (r < runs) {
+          val lo  = starts(r)
+          val mid = if (r + 1 < runs) starts(r + 1) else n
+          val hi  = if (r + 2 < runs) starts(r + 2) else n
+          merge(lo, mid, hi)
+          starts(kept) = lo
+          kept += 1
+          r += 2
+        }
+        runs = kept
+        val t = times; times = times2; times2 = t
+        val s = seqs; seqs = seqs2; seqs2 = s
+        val x = recs; recs = recs2; recs2 = x
+      }
+      java.util.Arrays.fill(recs2, 0, n, null)
+    }
+
+    /** Merge the sorted ranges `[lo, mid)` and `[mid, hi)` into the targets. */
+    private def merge(lo: Int, mid: Int, hi: Int): Unit = {
+      var i = lo
+      var j = mid
+      var k = lo
+      while (k < hi) {
+        val left = j == hi || (i < mid && (times(i) < times(j) || (times(i) == times(j) && seqs(i) < seqs(j))))
+        val from = if (left) { i += 1; i - 1 } else { j += 1; j - 1 }
+        times2(k) = times(from); seqs2(k) = seqs(from); recs2(k) = recs(from)
+        k += 1
+      }
+    }
+  }
+}
+
 /** One bin: a group of keys' states plus the bin's pending post-dated records.
   * This is the unit of migration.
   */
@@ -98,8 +201,12 @@ final class Bin[K, V, O](val id: Int, val logic: BinLogic[K, V, O]) {
     */
   var modeledBytes: Long = 0L
 
-  def sizeBytes: Long =
-    modeledBytes + states.valuesIterator.map(logic.stateBytes).sum + 64L * pending.size
+  def sizeBytes: Long = {
+    var bytes = modeledBytes + 64L * pending.size
+    var i     = 0
+    while (i < states.slots) { if (states.occupied(i)) bytes += logic.stateBytes(states.valueAt(i)); i += 1 }
+    bytes
+  }
 
   def apply(time: Long, rec: Rec[K, V], out: O => Unit, notify: (Long, Rec[K, V]) => Unit): Unit = {
     var i = states.indexOf(rec.key)
@@ -111,27 +218,35 @@ final class Bin[K, V, O](val id: Int, val logic: BinLogic[K, V, O]) {
 /** A bin's per-key states: open addressing with linear probing on a mixed
   * hash. The keys of one bin agree in `key % bins`, so a table indexed by the
   * low bits of `key.##`, as `mutable.HashMap` is, chains them all into one
-  * bucket. Keys are never removed. The arrays are allocated on the first
-  * insert.
+  * bucket. Each slot keeps its key's mixed hash, which a probe compares
+  * before the boxed key, and which growing reuses. Keys are never removed.
+  * The arrays are allocated on the first insert.
   */
 final class BinStates[K, S] {
-  // Keys and values by slot; a null key marks a free slot.
-  private var ks = Array.emptyObjectArray
-  private var vs = Array.emptyObjectArray
-  private var n  = 0
+  // Slot i: key at 2i and value at 2i + 1 of `kvs` (a null key marks a free
+  // slot), the key's mixed hash at i of `hs`.
+  private var kvs = Array.emptyObjectArray
+  private var hs  = Array.emptyIntArray
+  private var n   = 0
 
   /** Slot of `k`, or -1 when absent. */
-  def indexOf(k: K): Int = if (n == 0) -1 else { val i = slot(k); if (ks(i) == null) -1 else i }
+  def indexOf(k: K): Int = if (n == 0) -1 else { val i = slot(k, mix(k)); if (kvs(2 * i) == null) -1 else i }
 
-  def valueAt(i: Int): S             = vs(i).asInstanceOf[S]
-  def setValueAt(i: Int, v: S): Unit = vs(i) = v.asInstanceOf[AnyRef]
+  def valueAt(i: Int): S             = kvs(2 * i + 1).asInstanceOf[S]
+  def setValueAt(i: Int, v: S): Unit = kvs(2 * i + 1) = v.asInstanceOf[AnyRef]
+
+  /** Number of slots; slot `i` holds a key when [[occupied]]. */
+  def slots: Int                = hs.length
+  def occupied(i: Int): Boolean = kvs(2 * i) != null
 
   /** Add an absent key; returns its slot. */
   def insert(k: K, v: S): Int = {
-    if (2 * (n + 1) > ks.length) grow()
-    val i = slot(k)
-    ks(i) = k.asInstanceOf[AnyRef]
-    vs(i) = v.asInstanceOf[AnyRef]
+    if (2 * (n + 1) > hs.length) grow()
+    val h = mix(k)
+    val i = slot(k, h)
+    kvs(2 * i) = k.asInstanceOf[AnyRef]
+    kvs(2 * i + 1) = v.asInstanceOf[AnyRef]
+    hs(i) = h
     n += 1
     i
   }
@@ -142,26 +257,34 @@ final class BinStates[K, S] {
   def isEmpty: Boolean     = n == 0
 
   def iterator: Iterator[(K, S)] =
-    ks.indices.iterator.filter(ks(_) != null).map(i => (ks(i).asInstanceOf[K], valueAt(i)))
+    hs.indices.iterator.filter(occupied).map(i => (kvs(2 * i).asInstanceOf[K], valueAt(i)))
 
-  def valuesIterator: Iterator[S] = iterator.map(_._2)
+  private def mix(k: Any): Int = { val h = k.## * 0x9E3779B9; h ^ (h >>> 16) }
 
-  private def slot(k: Any): Int = {
-    val mask = ks.length - 1
-    val h    = k.## * 0x9E3779B9
-    var i    = (h ^ (h >>> 16)) & mask
-    while (ks(i) != null && ks(i) != k) i = (i + 1) & mask
+  /** Slot of the key `k` with mixed hash `h`, or the free slot that ends its
+    * probe sequence.
+    */
+  private def slot(k: Any, h: Int): Int = {
+    val mask = hs.length - 1
+    var i    = h & mask
+    while (kvs(2 * i) != null && (hs(i) != h || kvs(2 * i) != k)) i = (i + 1) & mask
     i
   }
 
   private def grow(): Unit = {
-    val oldKeys = ks
-    val oldVals = vs
-    ks = new Array[AnyRef](math.max(8, oldKeys.length * 2))
-    vs = new Array[AnyRef](ks.length)
-    var j = 0
-    while (j < oldKeys.length) {
-      if (oldKeys(j) != null) { val i = slot(oldKeys(j)); ks(i) = oldKeys(j); vs(i) = oldVals(j) }
+    val oldKvs    = kvs
+    val oldHashes = hs
+    hs = new Array[Int](math.max(8, oldHashes.length * 2))
+    kvs = new Array[AnyRef](2 * hs.length)
+    val mask = hs.length - 1
+    var j    = 0
+    while (j < oldHashes.length) {
+      if (oldKvs(2 * j) != null) {
+        // Keys are distinct: each goes to the first free slot of its sequence.
+        var i = oldHashes(j) & mask
+        while (kvs(2 * i) != null) i = (i + 1) & mask
+        kvs(2 * i) = oldKvs(2 * j); kvs(2 * i + 1) = oldKvs(2 * j + 1); hs(i) = oldHashes(j)
+      }
       j += 1
     }
   }

@@ -94,28 +94,25 @@ final class MegaphoneEngine[K, V, O](
     }
   }
 
-  def stateBytesOfWorker(w: Int): Long = sOps(w).ownedBins.map(_.sizeBytes).sum
+  def stateBytesOfWorker(w: Int): Long = {
+    val bins  = sOps(w).bins
+    var bytes = 0L
+    var b     = 0
+    while (b < bins.length) { if (bins(b) != null) bytes += bins(b).sizeBytes; b += 1 }
+    bytes
+  }
 
   // -------------------------------------------------------------- operators
 
   /** One F→S data message: the records F routed to worker `dst` at time
-    * `t`. It is its own delivery callback, so a send allocates nothing else.
-    * Buffered at S, it also takes in the records of the messages that arrive
-    * later for the same time (see [[SOp.receive]]): the first `n` of `recs`
-    * are the records of `msgs` messages, in arrival order.
+    * `t`, of total `weight`. It is its own delivery callback, so a send
+    * allocates nothing else. Buffered at S, `next` is the message that
+    * arrived right after it for the same time, if any.
     */
-  final class Msg(val t: Long, private[MegaphoneEngine] var recs: Array[Rec[K, V]], dst: Int) extends (Long => Unit) {
-    private[MegaphoneEngine] var n    = recs.length
-    private[MegaphoneEngine] var msgs = 1L
+  final class Msg(val t: Long, val recs: Array[Rec[K, V]], val weight: Long, dst: Int) extends (Long => Unit) {
+    private[MegaphoneEngine] var next: Msg = null
 
     def apply(arrival: Long): Unit = sOps(dst).receive(this)
-
-    private[MegaphoneEngine] def absorb(m: Msg): Unit = {
-      if (n + m.n > recs.length) recs = java.util.Arrays.copyOf(recs, math.max(2 * recs.length, n + m.n))
-      System.arraycopy(m.recs, 0, recs, n, m.n)
-      n += m.n
-      msgs += 1L
-    }
   }
 
   /** State-hosting operator S: installs migrated bins and applies records in
@@ -128,13 +125,15 @@ final class MegaphoneEngine[K, V, O](
 
     def ownedBins: Iterator[Bin[K, V, O]] = bins.iterator.filter(_ != null)
 
-    /** Delivered input, one message per time, keyed by time: a message for
-      * a time already buffered is appended to that time's message. Each
-      * message delivered holds one probe pointstamp at its time until its
-      * records are applied.
+    /** Delivered input as chains of consecutive same-time arrivals (linked
+      * by [[Msg.next]]), keyed by `(time, arrival)`, so that same-time
+      * records apply in arrival order. Chains mostly arrive in time order and
+      * then pass through the heap's FIFO run. Each message delivered holds
+      * one probe pointstamp at its time until its records are applied.
       */
-    private val input  = new EventHeap[Msg]
-    private val byTime = mutable.LongMap.empty[Msg]
+    private val input    = new EventHeap[Msg]
+    private var arrivals = 0L
+    private var last: Msg = null // the latest arrival, the tail of its chain
 
     /** Wake-ups for post-dated work, as `(time, bin id)` pairs (the bin id in
       * the `seq` slot, no record): every owned bin with pending records has an
@@ -146,16 +145,12 @@ final class MegaphoneEngine[K, V, O](
     private var applying    = false
 
     // The batch an apply task works on. At most one task is queued per S, so
-    // the buffers are reused: input records in time order (FIFO within a
-    // time), the due post-dated records in a heap keyed on (time, seq), and
-    // the probe holds of the input messages, released after the batch.
-    private var inTimes   = new Array[Long](16)
-    private var inRecs    = new Array[Rec[K, V]](16)
-    private var inCount   = 0
-    private val due       = new Notificator[K, V]
-    private var holdTimes = new Array[Long](4)
-    private var holdMsgs  = new Array[Long](4)
-    private var holdCount = 0
+    // the buffers are reused: the input messages in (time, arrival) order,
+    // whose probe holds are released after the batch, and the due post-dated
+    // records sorted by (time, seq).
+    private var inMsgs  = new Array[Msg](16)
+    private var inCount = 0
+    private val due     = new Notificator.Due[K, V]
 
     // The record being applied, read by `emit` and `post`, which are
     // allocated once per S rather than once per record.
@@ -181,9 +176,9 @@ final class MegaphoneEngine[K, V, O](
     }
 
     def receive(msg: Msg): Unit = {
-      val buffered = byTime.getOrNull(msg.t)
-      if (buffered != null) buffered.absorb(msg)
-      else { input.push(msg.t, 0L, msg); byTime(msg.t) = msg }
+      if (last != null && last.t == msg.t) last.next = msg
+      else { arrivals += 1; input.push(msg.t, arrivals, msg) }
+      last = msg
       // The in-flight message's pointstamp moves from `main` into S-internal
       // pending: S's *input* frontier may now pass t (which is exactly what
       // makes the records applicable) while `probe` — S's output — still
@@ -217,42 +212,29 @@ final class MegaphoneEngine[K, V, O](
 
       var weight = 0L
       while (input.minTime < f) {
-        val msg = input.minItem
+        var msg = input.minItem
         input.removeMin()
-        byTime -= msg.t
-        val t = msg.t
-        var i = 0
-        while (i < msg.n) {
-          val r = msg.recs(i)
-          if (inCount == inRecs.length) {
-            inTimes = java.util.Arrays.copyOf(inTimes, inCount * 2)
-            inRecs = java.util.Arrays.copyOf(inRecs, inCount * 2)
-          }
-          inTimes(inCount) = t
-          inRecs(inCount) = r
+        while (msg != null) {
+          if (inCount == inMsgs.length) inMsgs = java.util.Arrays.copyOf(inMsgs, inCount * 2)
+          inMsgs(inCount) = msg
           inCount += 1
-          weight += r.weight
-          i += 1
+          weight += msg.weight
+          msg = msg.next
         }
-        if (holdCount == holdTimes.length) {
-          holdTimes = java.util.Arrays.copyOf(holdTimes, holdCount * 2)
-          holdMsgs = java.util.Arrays.copyOf(holdMsgs, holdCount * 2)
-        }
-        holdTimes(holdCount) = t
-        holdMsgs(holdCount) = msg.msgs
-        holdCount += 1
       }
+      if (last != null && last.t < f) last = null // its chain was taken out
       while (wakeups.minTime < f) {
         val b = wakeups.minSeq.toInt
         wakeups.removeMin()
         val bin = bins(b) // null once the bin migrated away
         if (bin != null && bin.pending.minTime < f) {
-          weight += bin.pending.drainInto(f, due)
+          weight += bin.pending.drainTo(f, due)
           if (!bin.pending.isEmpty) wakeups.schedule(bin.pending.minTime, null, b)
         }
       }
       if (inCount == 0 && due.isEmpty) return
       applyQueued = true
+      due.sort()
 
       // Charged on the batch's total weight: with integer weights and an
       // integer-valued perRecordNs this equals the sum of per-record charges.
@@ -271,13 +253,14 @@ final class MegaphoneEngine[K, V, O](
       applyQueued = false
       applying = true
       curDone = done
+      var m = 0 // the input message and its record to apply next
       var i = 0
-      while (i < inCount || !due.isEmpty) {
-        if (i < inCount && (due.isEmpty || inTimes(i) <= due.minTime)) {
-          val t = inTimes(i)
-          val r = inRecs(i)
-          inRecs(i) = null
+      while (m < inCount || !due.isEmpty) {
+        if (m < inCount && (due.isEmpty || inMsgs(m).t <= due.minTime)) {
+          val t = inMsgs(m).t
+          val r = inMsgs(m).recs(i)
           i += 1
+          if (i == inMsgs(m).recs.length) { m += 1; i = 0 }
           applyOne(t, r)
           if (onLatency != null)
             onLatency(math.max(0L, done - (t + cost.epochNs)), math.max(1L, done - t), r.weight)
@@ -289,12 +272,17 @@ final class MegaphoneEngine[K, V, O](
           probe.release(t) // the post-dated record's hold
         }
       }
-      inCount = 0
       curRec = null
       curBin = null
-      var h = 0
-      while (h < holdCount) { probe.release(holdTimes(h), holdMsgs(h)); h += 1 }
-      holdCount = 0
+      // One release per time, of as many pointstamps as it had messages.
+      m = 0
+      while (m < inCount) {
+        val t = inMsgs(m).t
+        val from = m
+        while (m < inCount && inMsgs(m).t == t) { inMsgs(m) = null; m += 1 }
+        probe.release(t, (m - from).toLong)
+      }
+      inCount = 0
       applying = false
       tryApply() // post-dated work may have become due meanwhile
     }
@@ -313,6 +301,16 @@ final class MegaphoneEngine[K, V, O](
     }
   }
 
+  // F's per-batch scratch, shared by every F, since routing a batch
+  // returns before any other batch is routed: the records and each one's
+  // destination, and per destination the number of records, their array and
+  // their weight.
+  private var batch   = new Array[Rec[K, V]](16)
+  private var dstOf   = new Array[Int](16)
+  private val count   = new Array[Int](numWorkers)
+  private val out     = new Array[Array[Rec[K, V]]](numWorkers)
+  private val weights = new Array[Long](numWorkers)
+
   /** Routing operator F: routes by the configuration at each record's time,
     * buffering records whose time is in advance of the control frontier, and
     * initiating state migrations (§3.4).
@@ -320,12 +318,6 @@ final class MegaphoneEngine[K, V, O](
   final class FOp(val worker: Int) {
     /** Records whose time is in advance of the control frontier. */
     val buffered = new java.util.TreeMap[Long, mutable.ArrayBuffer[Rec[K, V]]]()
-
-    // Per-batch scratch: the records, each one's destination, and the number
-    // of records per destination.
-    private var batch = new Array[Rec[K, V]](16)
-    private var dstOf = new Array[Int](16)
-    private val count = new Array[Int](numWorkers)
 
     def receive(t: Long, recs: Seq[Rec[K, V]]): Unit = {
       var weight = 0L
@@ -353,24 +345,32 @@ final class MegaphoneEngine[K, V, O](
         n += 1
       }
       val dsts = sendOrder(count)
-      holdBoth(t, dsts.length.toLong)
-      main.release(t); probe.release(t) // the single batch hold splits per destination
+      // The batch's hold passes to the first destination's message.
+      if (dsts.length > 1) holdBoth(t, dsts.length - 1L)
+      // Each record to its destination's array, in batch order; `count`
+      // counts down to the next free place and ends at 0.
       var k = 0
+      while (k < dsts.length) { out(dsts(k)) = new Array[Rec[K, V]](count(dsts(k))); k += 1 }
+      var i = 0
+      while (i < n) {
+        val d  = dstOf(i)
+        val rs = out(d)
+        rs(rs.length - count(d)) = batch(i)
+        count(d) -= 1
+        weights(d) += batch(i).weight
+        batch(i) = null
+        i += 1
+      }
+      k = 0
       while (k < dsts.length) {
         val dst    = dsts(k)
-        val rs     = new Array[Rec[K, V]](count(dst))
-        var weight = 0L
-        var i      = 0
-        var j      = 0
-        while (j < rs.length) {
-          if (dstOf(i) == dst) { rs(j) = batch(i); weight += rs(j).weight; j += 1 }
-          i += 1
-        }
-        count(dst) = 0
-        net.send(worker, dst, weight * dataBytesPerRecord)(new Msg(t, rs, dst))
+        val weight = weights(dst)
+        val rs     = out(dst)
+        out(dst) = null
+        weights(dst) = 0L
+        net.send(worker, dst, weight * dataBytesPerRecord)(new Msg(t, rs, weight, dst))
         k += 1
       }
-      java.util.Arrays.fill(batch.asInstanceOf[Array[AnyRef]], 0, n, null)
     }
 
     def onControlAdvance(f: Long): Unit =
@@ -390,9 +390,18 @@ final class MegaphoneEngine[K, V, O](
     */
   private[core] def sendOrder(count: Array[Int]): Array[Int] = {
     var mask = 0L
+    var dsts = 0
+    var last = 0
     var w    = 0
-    while (w < numWorkers) { if (count(w) > 0) mask |= 1L << (w & 63); w += 1 }
-    if (numWorkers > 64) groupByOrder(count)
+    while (w < numWorkers) {
+      if (count(w) > 0) { mask |= 1L << (w & 63); dsts += 1; last = w }
+      w += 1
+    }
+    if (dsts == 1) {
+      if (singleSends(last) == null) singleSends(last) = Array(last)
+      singleSends(last)
+    }
+    else if (numWorkers > 64) groupByOrder(count)
     else {
       val cached = sendOrders.getOrNull(mask)
       if (cached != null) cached
@@ -400,7 +409,8 @@ final class MegaphoneEngine[K, V, O](
     }
   }
 
-  private val sendOrders = mutable.LongMap.empty[Array[Int]]
+  private val sendOrders  = mutable.LongMap.empty[Array[Int]]
+  private val singleSends = new Array[Array[Int]](numWorkers)
 
   private def groupByOrder(count: Array[Int]): Array[Int] = {
     val present = (0 until numWorkers).filter(count(_) > 0)
@@ -491,10 +501,13 @@ final class MegaphoneEngine[K, V, O](
 
     def capability: Long = cap
 
+    /** Send `recs` to F at worker `w`; an empty send does nothing. */
     def send(w: Int, t: Long, recs: Seq[Rec[K, V]]): Unit = {
       if (!open || t < cap) throw new IllegalArgumentException(s"send at $t behind capability $cap (open=$open)")
-      holdBoth(t)
-      fOps(w).receive(t, recs)
+      if (recs.nonEmpty) {
+        holdBoth(t)
+        fOps(w).receive(t, recs)
+      }
     }
 
     /** Downgrade the capability; a no-op when `t` is already reached. */

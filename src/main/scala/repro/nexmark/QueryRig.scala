@@ -3,6 +3,7 @@ package repro.nexmark
 import repro.core._
 import repro.harness.{LatencyHistogram, LatencySeries}
 import repro.timely.Sim
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import MegaphoneQueries._
 
@@ -15,6 +16,7 @@ object QueryRig {
 
   final case class NexConfig(
       workers: Int = 8,
+      /** A power of two. */
       bins: Int = 1 << 10,
       ratePerSec: Int = 100_000,
       /** Q5 sliding / Q7 tumbling window (time-dilated, §5.1). */
@@ -40,14 +42,16 @@ object QueryRig {
       outputCount: () => Long,
   )
 
-  /** Per-query input keying for the first stage. */
-  private def keyOf(q: Int, cfg: NexConfig): Event => Option[(Long, In)] = {
-    case b: Bid if q == 7     => Some((b.time / cfg.windowNs, BidIn(b)))
-    case b: Bid if q != 3 && q != 8 => Some((b.auction, BidIn(b)))
-    case a: Auction if q == 3 || q == 8 => Some((a.seller, AuctionIn(a)))
-    case a: Auction if q == 4 || q == 6 => Some((a.id, AuctionIn(a)))
-    case p: Person if q == 3 || q == 8  => Some((p.id, PersonIn(p)))
-    case _ => None
+  /** Per-query input keying for the first stage: the event's record, or
+    * null when the query does not read the event.
+    */
+  private def recOf(q: Int, cfg: NexConfig): Event => Rec[Long, In] = {
+    case b: Bid if q == 7     => Rec(b.time / cfg.windowNs, BidIn(b))
+    case b: Bid if q != 3 && q != 8 => Rec(b.auction, BidIn(b))
+    case a: Auction if q == 3 || q == 8 => Rec(a.seller, AuctionIn(a))
+    case a: Auction if q == 4 || q == 6 => Rec(a.id, AuctionIn(a))
+    case p: Person if q == 3 || q == 8  => Rec(p.id, PersonIn(p))
+    case _ => null
   }
 
   def build(
@@ -61,7 +65,10 @@ object QueryRig {
     var outCount = 0L
     def countOut(o: Out): Unit = { outCount += 1; if (collect != null) collect += o; () }
 
-    val binOf: Long => Int = k => (((k % cfg.bins) + cfg.bins) % cfg.bins).toInt
+    require(Integer.bitCount(cfg.bins) == 1, s"bins must be a power of two, not ${cfg.bins}")
+    // key mod bins, non-negative: with a power of two, the low bits.
+    val binMask            = cfg.bins - 1L
+    val binOf: Long => Int = k => (k & binMask).toInt
 
     /** One stage; `out(t, o)` receives its outputs, and the main stage also
       * records latencies.
@@ -76,7 +83,7 @@ object QueryRig {
       e
     }
 
-    val key = keyOf(q, cfg)
+    val rec = recOf(q, cfg)
 
     /** `first` takes the input and `main` is migrated; `other`, the non-main
       * engine of a two-stage query (null for one stage), never migrates: its
@@ -88,9 +95,17 @@ object QueryRig {
       Built(
         sim,
         send = (t, evs) => {
-          val recs = evs.flatMap(ev => key(ev).map { case (k, v) => Rec(k, v) })
-          recs.grouped(math.max(1, recs.size / cfg.workers + 1)).zipWithIndex.foreach { case (g, w) =>
-            first.dataInput.send(w % cfg.workers, t, g)
+          val recs = new Array[Rec[Long, In]](evs.size)
+          var n    = 0
+          val it   = evs.iterator
+          while (it.hasNext) { val r = rec(it.next()); if (r != null) { recs(n) = r; n += 1 } }
+          // Consecutive groups of n / workers + 1 records, group w to worker w.
+          val size = n / cfg.workers + 1
+          var lo   = 0
+          while (lo < n) {
+            val hi = math.min(n, lo + size)
+            first.dataInput.send(lo / size % cfg.workers, t, ArraySeq.unsafeWrapArray(java.util.Arrays.copyOfRange(recs, lo, hi)))
+            lo = hi
           }
         },
         advance = t => first.dataInput.advanceTo(t),
@@ -119,7 +134,7 @@ object QueryRig {
       val e1 = stage(first, !mainIsSecond, (t, o) => {
         val v = o.asInstanceOf[(Long, Long)]
         val k = secondKey(v)
-        e2.dataInput.send((k % cfg.workers).toInt, t, Seq(Rec(k, v)))
+        e2.dataInput.send((k % cfg.workers).toInt, t, Rec(k, v) :: Nil)
       })
       e1.probe.onAdvance { _ =>
         // Read the live frontier: a stale advance value could overshoot.

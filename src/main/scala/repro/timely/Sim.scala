@@ -1,28 +1,54 @@
 package repro.timely
 
-/** A binary min-heap of `(time, seq, item)` triples over primitive arrays,
-  * ordered by `(time, seq)` with strict comparisons in both sifts. It
-  * allocates nothing per entry beyond the item itself; the arrays are
-  * allocated on the first [[push]]. [[Sim]]'s event queue, the engine's
-  * notificators and S's input buffer are instances of it.
+/** A priority queue of `(time, seq, item)` triples ordered by `(time, seq)`:
+  * a binary min-heap over primitive arrays with strict comparisons in both
+  * sifts, plus a FIFO [[EventHeap.Run]]. An entry pushed no earlier than the
+  * run's last one is appended to the run and never sifted; any other goes to
+  * the heap, and the least of the two heads comes out first (the heap's on a
+  * tie). A queue filled in nondecreasing order, like a notificator's
+  * retractions at `t + window`, thus costs O(1) per entry. Nothing is
+  * allocated per entry beyond the item itself; the run and the heap's arrays
+  * are allocated on the first push that needs them. [[Sim]]'s event queue,
+  * the engine's notificators and S's input buffer are instances of it.
   */
 class EventHeap[A <: AnyRef] {
   private var times = Array.emptyLongArray
   private var seqs  = Array.emptyLongArray
   private var items = Array.emptyObjectArray
   private var n     = 0
+  private var run: EventHeap.Run = null
 
-  def isEmpty: Boolean = n == 0
-  def size: Int        = n
-  def minTime: Long    = if (n == 0) Long.MaxValue else times(0)
+  def isEmpty: Boolean = n == 0 && (run == null || run.n == 0)
+  def size: Int        = if (run == null) n else n + run.n
+  def minTime: Long    = if (runFirst) run.headTime else if (n == 0) Long.MaxValue else times(0)
 
   /** The least `seq` among the entries at [[minTime]]; call only when non-empty. */
-  def minSeq: Long = seqs(0)
+  def minSeq: Long = if (runFirst) run.headSeq else seqs(0)
 
   /** The item with the least `(time, seq)`; call only when non-empty. */
-  def minItem: A = items(0).asInstanceOf[A]
+  def minItem: A = (if (runFirst) run.headItem else items(0)).asInstanceOf[A]
+
+  private def runFirst: Boolean = run != null && run.first
 
   def push(t: Long, seq: Long, item: A): Unit = {
+    if (run == null) run = new EventHeap.Run
+    if (run.n == 0 || t > run.lastTime || (t == run.lastTime && seq >= run.lastSeq)) {
+      run.push(t, seq, item)
+      if (run.n == 1) settle()
+    } else heapPush(t, seq, item)
+  }
+
+  /** Remove the least entry (see [[minTime]] and [[minItem]]). */
+  def removeMin(): Unit = {
+    if (runFirst) run.pop() else heapPop()
+    settle()
+  }
+
+  /** Decide whether the run's head or the heap's top comes out next. */
+  private def settle(): Unit =
+    run.first = run.n > 0 && (n == 0 || run.headTime < times(0) || (run.headTime == times(0) && run.headSeq < seqs(0)))
+
+  private def heapPush(t: Long, seq: Long, item: A): Unit = {
     if (n == times.length) {
       val cap = math.max(8, n * 2)
       times = java.util.Arrays.copyOf(times, cap)
@@ -38,10 +64,10 @@ class EventHeap[A <: AnyRef] {
       i = p
     }
     times(i) = t; seqs(i) = seq; items(i) = item
+    if (i == 0) settle()
   }
 
-  /** Remove the least entry (see [[minTime]] and [[minItem]]). */
-  def removeMin(): Unit = {
+  private def heapPop(): Unit = {
     n -= 1
     val t = times(n)
     val s = seqs(n)
@@ -62,6 +88,58 @@ class EventHeap[A <: AnyRef] {
       }
     }
     if (n > 0) { times(i) = t; seqs(i) = s; items(i) = x }
+  }
+}
+
+object EventHeap {
+
+  /** An [[EventHeap]]'s FIFO of entries in nondecreasing `(time, seq)`
+    * order: a ring buffer that doubles when full. `first` is true when it
+    * is non-empty and its head is the queue's least entry.
+    */
+  private[timely] final class Run {
+    private var times = new Array[Long](8)
+    private var seqs  = new Array[Long](8)
+    private var items = new Array[AnyRef](8)
+    private var head  = 0
+    var n             = 0
+    var first         = false
+    var lastTime      = 0L
+    var lastSeq       = 0L
+
+    def headTime: Long   = times(head)
+    def headSeq: Long    = seqs(head)
+    def headItem: AnyRef = items(head)
+
+    def push(t: Long, seq: Long, item: AnyRef): Unit = {
+      if (n == times.length) grow()
+      val i = (head + n) & (times.length - 1)
+      times(i) = t; seqs(i) = seq; items(i) = item
+      n += 1
+      lastTime = t
+      lastSeq = seq
+    }
+
+    def pop(): Unit = {
+      items(head) = null
+      head = (head + 1) & (times.length - 1)
+      n -= 1
+    }
+
+    /** Double the full ring, unwrapping it to start at 0. */
+    private def grow(): Unit = {
+      val cap   = 2 * times.length
+      val first = times.length - head
+      def copy[B <: AnyRef](a: B, b: B): B = {
+        System.arraycopy(a, head, b, 0, first)
+        System.arraycopy(a, 0, b, first, head)
+        b
+      }
+      times = copy(times, new Array[Long](cap))
+      seqs = copy(seqs, new Array[Long](cap))
+      items = copy(items, new Array[AnyRef](cap))
+      head = 0
+    }
   }
 }
 

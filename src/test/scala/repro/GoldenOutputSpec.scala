@@ -66,22 +66,24 @@ class GoldenOutputSpec extends AnyFunSuite {
     * canonical migrations under batched(4): outputs in emission order,
     * latency CCDF and migration times.
     */
-  private def nexmarkHash(q: Int): String = {
-    val cfg = NexConfig(
-      workers = 4,
-      bins = 64,
-      ratePerSec = 50_000,
-      windowNs = 200_000_000L,
-      q8WindowNs = 800_000_000L,
-      auctionLifeNs = 200_000_000L,
-      cost = CostModel.keyCount.copy(perRecordNs = 250.0),
-      seed = 3L,
-    )
+  private val smallNex = NexConfig(
+    workers = 4,
+    bins = 64,
+    ratePerSec = 50_000,
+    windowNs = 200_000_000L,
+    q8WindowNs = 800_000_000L,
+    auctionLifeNs = 200_000_000L,
+    cost = CostModel.keyCount.copy(perRecordNs = 250.0),
+    seed = 3L,
+  )
+
+  private def nexmarkHash(q: Int, cfg: NexConfig = smallNex, horizonNs: Long = 600_000_000L,
+      strategy: Strategy = Batched(4)): String = {
     val hist   = new LatencyHistogram
     val series = new LatencySeries
     val outs   = mutable.ArrayBuffer.empty[Product]
     val built  = QueryRig.build(q, cfg, hist, series, collect = outs)
-    val migs   = QueryRig.drive(built, cfg, 600_000_000L, Some(Batched(4)))
+    val migs   = QueryRig.drive(built, cfg, horizonNs, Some(strategy))
     assert(migs.size == 2 && outs.nonEmpty)
     new Hash().addAll(outs).addAll(hist.ccdf).addAll(series.rows).addAll(migs).add(built.sim.now).hex
   }
@@ -92,5 +94,29 @@ class GoldenOutputSpec extends AnyFunSuite {
 
   test("NEXMark Q5 reproduces its simulated outputs in emission order") {
     assert(nexmarkHash(5) == "6701965ee51bd020d023855b4aeca8683b38aad0c4dbc76e872495dc653b6381")
+  }
+
+  /** The benchmark's NEXMark shape: 8 workers, 1024 bins, a 2 s window and
+    * auction life, batched(16). Thousands of `probe` times are live at once,
+    * and bins migrate while they hold post-dated records.
+    */
+  private val benchNex = smallNex.copy(
+    workers = 8,
+    bins = 1024,
+    ratePerSec = 100_000,
+    windowNs = 2_000_000_000L,
+    q8WindowNs = 8_000_000_000L,
+    auctionLifeNs = 2_000_000_000L,
+  )
+
+  private val benchNexGolden = Map(
+    4 -> "26f74b5361eb432739f14076b82cd72b3e6a31256316aa9004caf0cbafcdf8c2",
+    5 -> "412937a9cc0b72a72e40443ce03546df6bfe800102c63a2d7c9cf394404c352f",
+  )
+
+  for (q <- Seq(4, 5)) {
+    test(s"NEXMark Q$q at the benchmark's shape reproduces its simulated outputs") {
+      assert(nexmarkHash(q, benchNex, 1_500_000_000L, Batched(16)) == benchNexGolden(q))
+    }
   }
 }

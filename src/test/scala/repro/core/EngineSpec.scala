@@ -246,6 +246,30 @@ class EngineSpec extends AnyFunSuite {
     assert(engine.sOps(0).bins(0).states.get(0L).contains(1L), "record flushed after control advanced")
   }
 
+  for ((label, t) <- Seq("behind" -> 0L, "ahead of" -> 5_000_000L)) {
+    test(s"an empty send at a time $label the control frontier is a no-op") {
+      val sim = new Sim
+      val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
+        sim, 2, 4, CostModel.keyCount.copy(hiccupEveryNs = 0), new SumLogic, k => (k % 4).toInt)
+      engine.initBins()
+      // The control frontier is 1 ms: a send at 5 ms would buffer in F.
+      engine.controlInput.advanceTo(1_000_000L)
+      sim.at(0) {
+        engine.dataInput.send(0, t, Nil)
+        engine.dataInput.send(1, t, Seq(Rec(1L, 2L)))
+        engine.dataInput.send(1, t, Nil)
+        engine.dataInput.advanceTo(t + 1_000_000L)
+      }
+      sim.run(until = 20_000_000L)
+      assert(engine.fOps.forall(_.buffered.isEmpty) == (t == 0L))
+      engine.controlInput.close()
+      engine.dataInput.close()
+      sim.run()
+      assert(engine.probe.frontier == Long.MaxValue && engine.main.frontier == Long.MaxValue)
+      assert(engine.sOps(1).bins(1).states.get(1L).contains(2L))
+    }
+  }
+
   test("utilization accounting: workers are busy when records flow") {
     val sim = new Sim
     val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
@@ -299,7 +323,7 @@ class EngineSpec extends AnyFunSuite {
     sim.at(0) {
       // Bin 0 lives at worker 0; deliver its record to worker 1 as if routed there.
       engine.main.hold(0L); engine.probe.hold(0L)
-      engine.sOps(1).receive(new engine.Msg(0L, Array(Rec(0L, 1L)), 1))
+      engine.sOps(1).receive(new engine.Msg(0L, Array(Rec(0L, 1L)), 1L, 1))
       engine.dataInput.close()
     }
     engine.controlInput.close()

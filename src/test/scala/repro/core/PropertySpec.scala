@@ -27,7 +27,7 @@ class PropertySpec extends AnyFunSuite {
   test("Notificator drains random interleaved schedules in (t, seq) order") {
     check(Prop.forAll(genNotifyOps) { ops =>
       val n       = new Notificator[Long, Long]
-      val into    = new Notificator[Long, Long]
+      val into    = new Notificator.Due[Long, Long]
       val ref     = mutable.ArrayBuffer.empty[(Long, Long)]
       var seq     = 0L
       var ok      = true
@@ -43,15 +43,47 @@ class PropertySpec extends AnyFunSuite {
           val got =
             if (i % 2 == 0) n.drain(f).map(x => (x._1, x._2))
             else {
-              val w = n.drainInto(f, into)
+              val w = n.drainTo(f, into)
               ok &&= w == due.map(_._2).sum
-              into.drain(Long.MaxValue).map(x => (x._1, x._2))
+              into.sort()
+              readDue(into).map(x => (x._1, x._2.value))
             }
           ok &&= got == due.toSeq
       }
       val rest = n.drainAll().map(x => (x._1, x._2, x._3.value))
       ok && rest == ref.sortBy(identity).map(x => (x._1, x._2, x._2)).toSeq && n.isEmpty &&
         n.minTime == Long.MaxValue
+    })
+  }
+
+  /** Everything in `due`, in the order it is read. */
+  private def readDue(due: Notificator.Due[Long, Long]): Seq[(Long, Rec[Long, Long])] = {
+    val out = mutable.ArrayBuffer.empty[(Long, Rec[Long, Long])]
+    while (!due.isEmpty) { out += ((due.minTime, due.minRec)); due.removeMin() }
+    out.toSeq
+  }
+
+  test("a due set merges the runs of several notificators into (t, seq) order, batch after batch") {
+    // Per batch: records scheduled on a few bins, then a frontier drained
+    // from the bins in a random order.
+    val genBatch = for {
+      recs     <- Gen.listOf(for { bin <- Gen.choose(0, 5); t <- Gen.choose(0L, 30L) } yield (bin, t))
+      frontier <- Gen.choose(0L, 40L)
+      order    <- Gen.oneOf((0 until 6).permutations.toSeq)
+    } yield (recs, frontier, order)
+    check(Prop.forAll(Gen.listOf(genBatch)) { batches =>
+      val bins = Array.fill(6)(new Notificator[Long, Long])
+      val due  = new Notificator.Due[Long, Long]
+      val ref  = mutable.ArrayBuffer.empty[(Long, Long)]
+      var seq  = 0L
+      batches.forall { case (recs, f, order) =>
+        recs.foreach { case (b, t) => seq += 1; bins(b).schedule(t, Rec(b.toLong, seq, weight = 1L), seq); ref += ((t, seq)) }
+        val weight = order.map(b => if (bins(b).minTime < f) bins(b).drainTo(f, due) else 0L).sum
+        due.sort()
+        val expected = ref.filter(_._1 < f).sortBy(identity).toSeq
+        ref --= expected
+        weight == expected.size && readDue(due).map(x => (x._1, x._2.value)) == expected && due.isEmpty
+      }
     })
   }
 
@@ -70,6 +102,31 @@ class PropertySpec extends AnyFunSuite {
         ref(k) = ref.getOrElse(k, 0L) + v
       }
       s.iterator.toMap == ref.toMap && s.size == ref.size && ref.keys.forall(k => s.get(k).contains(ref(k)))
+    })
+  }
+
+  test("BinStates keeps keys apart whose hash codes collide") {
+    // (k, h) names a key with `##` == k: k itself for h == 0, otherwise a
+    // key outside the Int range whose halves are h and k ^ h.
+    def key(k: Int, h: Int): Long = if (h == 0) k.toLong else (h.toLong << 32) | ((k ^ h) & 0xFFFFFFFFL)
+    val genOps = Gen.listOf(for {
+      k <- Gen.choose(0, 3)
+      h <- Gen.choose(0, 60)
+      v <- Gen.choose(0L, 100L)
+    } yield (key(k, h), v))
+    check(Prop.forAll(genOps) { ops =>
+      val s   = new BinStates[Long, Long]
+      val ref = mutable.HashMap.empty[Long, Long]
+      var ok  = true
+      ops.foreach { case (k, v) =>
+        val i = s.indexOf(k)
+        ok &&= (i >= 0) == ref.contains(k)
+        if (i < 0) s.insert(k, v) else s.setValueAt(i, s.valueAt(i) + v)
+        ref(k) = ref.getOrElse(k, 0L) + v
+      }
+      val bySlot = (0 until s.slots).filter(s.occupied).map(s.valueAt).sum
+      ok && s.iterator.toMap == ref.toMap && s.size == ref.size && bySlot == ref.values.sum &&
+        (0 to 3).forall(k => s.indexOf(key(k, 61)) < 0)
     })
   }
 

@@ -50,6 +50,95 @@ class PropertySpec extends AnyFunSuite {
     assert(sim.executed == 2L && sim.idle)
   }
 
+  test("EventHeap pops monotone runs, out-of-order pushes and equal keys in (time, seq) order") {
+    check(Prop.forAll(Gen.listOf(genHeapStep)) { steps =>
+      val heap = new EventHeap[java.lang.Integer]
+      val ref  = mutable.ArrayBuffer.empty[(Long, Long, Int)]
+      var last = (0L, 0L)
+      var id   = 0
+      var ok   = true
+      def push(t: Long, s: Long): Unit = { heap.push(t, s, id); ref += ((t, s, id)); id += 1 }
+      def pop(): Unit = {
+        val key  = ref.map(x => (x._1, x._2)).min
+        val item = heap.minItem.intValue
+        ok &&= (heap.minTime, heap.minSeq) == key && ref.contains((key._1, key._2, item))
+        ref -= ((key._1, key._2, item))
+        heap.removeMin()
+      }
+      steps.foreach {
+        case Monotone(deltas) => deltas.foreach { d => last = (last._1 + d, last._2 + 1); push(last._1, last._2) }
+        case Single(t, s)     => push(t, s)
+        case Repeat(pick)     => if (ref.isEmpty) push(last._1, last._2) else { val (t, s, _) = ref(pick % ref.size); push(t, s) }
+        case Pop(k)           => (0 until math.min(k, ref.size)).foreach(_ => pop())
+      }
+      ok &&= heap.size == ref.size
+      while (ref.nonEmpty) pop()
+      ok && heap.isEmpty && heap.minTime == Long.MaxValue
+    })
+  }
+
+  test("TrackerCounts matches a reference map through growth, removals in random order and wrap-around") {
+    // Thousands of distinct times per case: a third epoch-aligned, and a
+    // third homed in the last sixteenth of the table at every capacity. Those
+    // outnumber its slots, so their probe run crosses the table end.
+    val genCase = for {
+      distinct <- Gen.choose(1, 3000)
+      seed     <- Gen.long
+    } yield (distinct, seed)
+    val r = Test.check(Test.Parameters.default.withMinSuccessfulTests(40), Prop.forAll(genCase) { case (distinct, seed) =>
+      val rng   = new scala.util.Random(seed)
+      val table = new TrackerCounts
+      val atEnd = Iterator.continually(rng.nextLong()).filter(table.home(_) == table.capacity - 1)
+      val times = Array.tabulate(distinct) { i =>
+        if (i % 3 == 0) rng.nextInt(5000) * 1_000_000L else if (i % 3 == 1) atEnd.next() else rng.nextLong()
+      }
+      val ref   = mutable.HashMap.empty[Long, Long]
+      var nearEnd = 0
+      var ok    = true
+      (0 until 6 * distinct).foreach { _ =>
+        val t = times(rng.nextInt(distinct))
+        rng.nextInt(4) match {
+          case 0 | 1 =>
+            val n = 1L + rng.nextInt(3)
+            ok &&= table.add(t, n) == !ref.contains(t)
+            ref(t) = ref.getOrElse(t, 0L) + n
+          case 2 =>
+            val n    = 1L + rng.nextInt(3)
+            val c    = ref.getOrElse(t, -1L)
+            val left = table.sub(t, n)
+            if (c >= n) { ok &&= left == c - n; ref(t) = c - n } else ok &&= left < 0
+          case _ =>
+            if (ref.contains(t)) {
+              if (table.home(t) >= table.capacity * 15 / 16) nearEnd += 1
+              table.remove(t); ref -= t
+            }
+        }
+        ok &&= table.size == ref.size && table.get(t) == ref.getOrElse(t, -1L)
+      }
+      ok && ref.forall { case (t, c) => table.get(t) == c } && (distinct < 100 || nearEnd > 0)
+    })
+    assert(r.passed, Pretty.pretty(r))
+  }
+
+  test("TrackerCounts removes entries whose probe runs wrap around the table end") {
+    val table = new TrackerCounts
+    // Seven times whose home is the last slot of the 16-slot table: their
+    // run covers the last slot and wraps to the first six.
+    val last  = table.capacity - 1
+    val ts    = Iterator.iterate(0L)(_ + 1_000_000L).filter(table.home(_) == last).take(7).toVector
+    val rng   = new scala.util.Random(5)
+    (0 until 50).foreach { _ =>
+      ts.zipWithIndex.foreach { case (t, i) => assert(table.add(t, i + 1L)) }
+      assert(table.capacity == 16)
+      val gone = mutable.Set.empty[Long]
+      rng.shuffle(ts).foreach { t =>
+        table.remove(t); gone += t
+        ts.zipWithIndex.foreach { case (u, i) => assert(table.get(u) == (if (gone(u)) -1L else i + 1L)) }
+      }
+      assert(table.size == 0)
+    }
+  }
+
   test("Tracker frontier is the minimum of a reference multiset; listeners and waiters fire on strict advances") {
     check(Prop.forAll(Gen.listOfN(60, genTrackerOp)) { ops =>
       val t     = new Tracker("t")
@@ -98,6 +187,23 @@ class PropertySpec extends AnyFunSuite {
 }
 
 object PropertySpec {
+  /** A step on an [[EventHeap]]: push a run of entries in increasing
+    * `(time, seq)` order (time deltas, 0 for a tie), push one entry at an
+    * arbitrary key, push a copy of a queued key, or pop up to `k` entries.
+    */
+  sealed trait HeapStep
+  final case class Monotone(deltas: List[Long]) extends HeapStep
+  final case class Single(t: Long, s: Long)     extends HeapStep
+  final case class Repeat(pick: Int)            extends HeapStep
+  final case class Pop(k: Int)                  extends HeapStep
+
+  val genHeapStep: Gen[HeapStep] = Gen.frequency(
+    3 -> Gen.choose(1, 12).flatMap(Gen.listOfN(_, Gen.choose(0L, 3L))).map(Monotone(_)),
+    2 -> (for { t <- Gen.choose(0L, 200L); s <- Gen.choose(0L, 5L) } yield Single(t, s)),
+    1 -> Gen.choose(0, 1000).map(Repeat(_)),
+    2 -> Gen.choose(1, 8).map(Pop(_)),
+  )
+
   /** A scheduling call; `kids` are made from inside its callback. */
   sealed trait Op { def id: Int; def kids: List[Op] }
   final case class At(id: Int, t: Long, kids: List[Op])                           extends Op
