@@ -29,6 +29,12 @@ class HeadlineBench extends AnyFunSuite {
     val byStrat = rows.map(r => r.strategy -> r).toMap
     assert(byStrat("fluid").durationNs > byStrat("all-at-once").durationNs)
   }
+
+  test("Fig1: optimized lasts longer than all-at-once and shorter than fluid") {
+    val byStrat = rows.map(r => r.strategy -> r.durationNs).toMap
+    val (a, o, f) = (byStrat("all-at-once"), byStrat("optimized"), byStrat("fluid"))
+    assert(a < o && o < f, s"durations: all-at-once $a, optimized $o, fluid $f")
+  }
 }
 
 class MigrationBinsBench extends AnyFunSuite {

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.timely.EventHeap
-import scala.collection.mutable
 
 /** A weighted record: `weight > 1` lets the counting benchmarks drive the
   * engine at the paper's full rates (4×10⁶ rec/s × minutes) without allocating
@@ -70,20 +69,6 @@ final class Notificator[K, V] extends EventHeap[Rec[K, V]] {
       weight += r.weight
     }
     weight
-  }
-
-  /** Remove and return all triples with time strictly below `frontier`, in
-    * (timestamp, insertion) order.
-    */
-  def drain(frontier: Long): Seq[(Long, Long, Rec[K, V])] = drainWhile(_ < frontier)
-
-  /** Remove everything, in (timestamp, insertion) order. */
-  def drainAll(): Seq[(Long, Long, Rec[K, V])] = drainWhile(_ => true)
-
-  private def drainWhile(due: Long => Boolean): Seq[(Long, Long, Rec[K, V])] = {
-    val out = mutable.ArrayBuffer.empty[(Long, Long, Rec[K, V])]
-    while (!isEmpty && due(minTime)) { out += ((minTime, minSeq, minRec)); removeMin() }
-    out.toSeq
   }
 }
 

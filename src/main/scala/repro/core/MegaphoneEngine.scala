@@ -491,55 +491,50 @@ final class MegaphoneEngine[K, V, O](
 
   // ----------------------------------------------------------------- inputs
 
-  /** Open-loop data input. Call `send` with nondecreasing times, then
-    * `advanceTo` to let the epoch become applicable; `close` when done.
+  /** An input's capability, held on each of `trackers` in order: it starts
+    * at 0, [[advanceTo]] downgrades it and [[close]] drops it.
     */
-  final class DataInput {
+  sealed abstract class Input(trackers: Tracker*) {
     private var cap  = 0L
     private var open = true
-    holdBoth(cap)
+    trackers.foreach(_.hold(cap))
 
     def capability: Long = cap
 
+    protected def requireOpenAt(t: Long, what: String): Unit =
+      require(open && t >= cap, s"$what at $t behind capability $cap (open=$open)")
+
+    /** Downgrade the capability; a no-op when `t` is already reached. */
+    def advanceTo(t: Long): Unit = if (open && t > cap) { trackers.foreach(_.downgrade(cap, t)); cap = t }
+
+    def close(): Unit = if (open) { open = false; trackers.foreach(_.release(cap)) }
+  }
+
+  /** Open-loop data input. Call `send` with nondecreasing times, then
+    * `advanceTo` to let the epoch become applicable; `close` when done.
+    */
+  final class DataInput extends Input(main, probe) {
+
     /** Send `recs` to F at worker `w`; an empty send does nothing. */
     def send(w: Int, t: Long, recs: Seq[Rec[K, V]]): Unit = {
-      if (!open || t < cap) throw new IllegalArgumentException(s"send at $t behind capability $cap (open=$open)")
+      requireOpenAt(t, "send")
       if (recs.nonEmpty) {
         holdBoth(t)
         fOps(w).receive(t, recs)
       }
     }
-
-    /** Downgrade the capability; a no-op when `t` is already reached. */
-    def advanceTo(t: Long): Unit = if (open && t > cap) {
-      main.downgrade(cap, t)
-      probe.hold(t); probe.release(cap)
-      cap = t
-    }
-
-    def close(): Unit = if (open) { open = false; main.release(cap); probe.release(cap) }
   }
 
   /** Configuration-update input (the paper's control stream). */
-  final class ControlInput {
-    private var cap  = 0L
-    private var open = true
-    control.hold(cap)
-
-    def capability: Long = cap
+  final class ControlInput extends Input(control) {
 
     def send(t: Long, updates: Seq[(Int, Int)]): Unit = {
-      require(open && t >= cap, s"control send at $t behind capability $cap (open=$open)")
+      requireOpenAt(t, "control send")
       // A bin named twice takes its last update.
       val last = mutable.HashMap.empty[Int, Int]
       updates.iterator.zipWithIndex.foreach { case ((bin, _), i) => last(bin) = i }
       updates.iterator.zipWithIndex.foreach { case ((bin, w), i) => if (last(bin) == i) ingestUpdate(t, bin, w) }
     }
-
-    /** Downgrade the capability; a no-op when `t` is already reached. */
-    def advanceTo(t: Long): Unit = if (open && t > cap) { control.downgrade(cap, t); cap = t }
-
-    def close(): Unit = if (open) { open = false; control.release(cap) }
   }
 
   val dataInput    = new DataInput

@@ -68,13 +68,17 @@ object MigrationExp {
       CountingWorkload.Config(bins = 1 << 12, domain = 16384L * 1000 * 1000, ratePerSec = rateK * 1000),
       s"rate=${rateK}e3", s, totalNs)
 
-  /** Figure 1 headline: one billion keys, 8 GB of state, full rebalance. */
+  /** Figure 1 headline: one billion keys, 8 GB of state, full rebalance.
+    * The optimized strategy's gap between batches is about one steady-state
+    * maximum latency (20 ms), so that its 64 batches end well before fluid's
+    * 1024 moves do.
+    */
   def headline(totalNs: Long = 90_000_000_000L): Seq[Row] = {
     val cfg = CountingWorkload.Config(bins = 1 << 12, domain = 1000L * 1000 * 1000)
     Seq(
       one(cfg, "1e9 keys / 8GB", AllAtOnce, totalNs),
       one(cfg, "1e9 keys / 8GB", Fluid(), totalNs),
-      one(cfg, "1e9 keys / 8GB", batchedFor(1 << 12).copy(gapNs = 200_000_000L), totalNs),
+      one(cfg, "1e9 keys / 8GB", batchedFor(1 << 12).copy(gapNs = 20_000_000L), totalNs),
     )
   }
 

@@ -14,13 +14,12 @@ package repro.timely
   * gate migrations on the output frontier of S.
   */
 final class Tracker(val name: String) {
-  // Outstanding pointstamp counts, plus a binary min-heap of the times in
-  // `counts`. A time whose count drops to zero stays in both until it reaches
-  // the top of the heap, so the heap never holds a time twice and its top,
+  // Outstanding pointstamp counts, plus an [[EventHeap]] of the times in
+  // `counts`. A time whose count drops to zero stays in both until it is the
+  // least of `times`, so `times` never holds a time twice and its least time,
   // whose count is never zero, is the frontier.
   private val counts = new TrackerCounts
-  private var heap   = Array.emptyLongArray
-  private var live   = 0
+  private val times  = new EventHeap[AnyRef]
 
   private var listeners = List.empty[Long => Unit]
   private val waiters   = new java.util.TreeMap[Long, List[() => Unit]]()
@@ -29,7 +28,7 @@ final class Tracker(val name: String) {
   /** Current frontier: least outstanding pointstamp, or `Long.MaxValue` when
     * the edge is drained (no message can ever arrive again).
     */
-  def frontier: Long = if (live == 0) Long.MaxValue else heap(0)
+  def frontier: Long = times.minTime
 
   /** Register interest in frontier advances. Fired with the new frontier. */
   def onAdvance(f: Long => Unit): Unit = listeners ::= f
@@ -37,7 +36,7 @@ final class Tracker(val name: String) {
   /** Hold `n` pointstamps at time `t` (a message send or a capability). */
   def hold(t: Long, n: Long = 1L): Unit = {
     if (n <= 0) throw new IllegalArgumentException(s"requirement failed: hold of $n at $t")
-    if (counts.add(t, n)) heapPush(t)
+    if (counts.add(t, n)) times.push(t, 0L, null)
   }
 
   /** Release `n` pointstamps at `t`; fires listeners if the frontier moved. */
@@ -47,8 +46,8 @@ final class Tracker(val name: String) {
     if (left < 0) throw new IllegalArgumentException(s"requirement failed: tracker $name: negative count at $t")
     // The frontier moves only when its own time is used up: then drop every
     // time whose count reached zero while it was not the earliest.
-    if (left == 0 && t == heap(0)) {
-      while (live > 0 && counts.get(heap(0)) == 0L) counts.remove(heapPop())
+    if (left == 0 && t == times.minTime) {
+      while (!times.isEmpty && counts.get(times.minTime) == 0L) { counts.remove(times.minTime); times.removeMin() }
       maybeNotify(t)
     }
   }
@@ -91,36 +90,6 @@ final class Tracker(val name: String) {
         f = frontier
       }
     } finally notifying = false
-  }
-
-  private def heapPush(t: Long): Unit = {
-    if (live == heap.length) heap = java.util.Arrays.copyOf(heap, math.max(16, live * 2))
-    var i = live
-    live += 1
-    while (i > 0 && t < heap((i - 1) >>> 1)) {
-      heap(i) = heap((i - 1) >>> 1)
-      i = (i - 1) >>> 1
-    }
-    heap(i) = t
-  }
-
-  private def heapPop(): Long = {
-    val top = heap(0)
-    live -= 1
-    val last = heap(live)
-    var i    = 0
-    var done = live == 0
-    while (!done) {
-      val l = 2 * i + 1
-      if (l >= live) done = true
-      else {
-        val c = if (l + 1 < live && heap(l + 1) < heap(l)) l + 1 else l
-        if (heap(c) < last) { heap(i) = heap(c); i = c }
-        else done = true
-      }
-    }
-    if (live > 0) heap(i) = last
-    top
   }
 }
 

@@ -9,7 +9,8 @@ package repro.timely
   * retractions at `t + window`, thus costs O(1) per entry. Nothing is
   * allocated per entry beyond the item itself; the run and the heap's arrays
   * are allocated on the first push that needs them. [[Sim]]'s event queue,
-  * the engine's notificators and S's input buffer are instances of it.
+  * a [[Tracker]]'s times, the engine's notificators and S's input buffer are
+  * instances of it.
   */
 class EventHeap[A <: AnyRef] {
   private var times = Array.emptyLongArray
@@ -94,12 +95,14 @@ class EventHeap[A <: AnyRef] {
 object EventHeap {
 
   /** An [[EventHeap]]'s FIFO of entries in nondecreasing `(time, seq)`
-    * order: a ring buffer that doubles when full. `first` is true when it
-    * is non-empty and its head is the queue's least entry.
+    * order, each with a `Long` tag: a ring buffer that doubles when full.
+    * `first` is true when it is non-empty and its head is the queue's least
+    * entry. A [[Lane]] keeps its events in one too.
     */
   private[timely] final class Run {
     private var times = new Array[Long](8)
     private var seqs  = new Array[Long](8)
+    private var tags  = new Array[Long](8)
     private var items = new Array[AnyRef](8)
     private var head  = 0
     var n             = 0
@@ -109,12 +112,13 @@ object EventHeap {
 
     def headTime: Long   = times(head)
     def headSeq: Long    = seqs(head)
+    def headTag: Long    = tags(head)
     def headItem: AnyRef = items(head)
 
-    def push(t: Long, seq: Long, item: AnyRef): Unit = {
+    def push(t: Long, seq: Long, item: AnyRef, tag: Long = 0L): Unit = {
       if (n == times.length) grow()
       val i = (head + n) & (times.length - 1)
-      times(i) = t; seqs(i) = seq; items(i) = item
+      times(i) = t; seqs(i) = seq; tags(i) = tag; items(i) = item
       n += 1
       lastTime = t
       lastSeq = seq
@@ -137,6 +141,7 @@ object EventHeap {
       }
       times = copy(times, new Array[Long](cap))
       seqs = copy(seqs, new Array[Long](cap))
+      tags = copy(tags, new Array[Long](cap))
       items = copy(items, new Array[AnyRef](cap))
       head = 0
     }
@@ -153,10 +158,11 @@ object EventHeap {
   * `time` is the requested time clamped to `now` and `seq` counts every event
   * scheduled, by [[at]], by [[SimWorker.exec]] or by [[Net.send]]. Since `seq`
   * is unique the order is total, so it does not depend on how the queue is
-  * kept. It is kept as an [[EventHeap]] of callbacks plus FIFO [[Lane]]s: a
-  * worker's completions and one source NIC's remote deliveries are each
-  * scheduled in nondecreasing `(time, seq)` order, so each goes to a lane of
-  * its own and only the lane's head waits in the heap.
+  * kept. It is kept as an [[EventHeap]] of callbacks plus FIFO [[Lane]]s
+  * (each an [[EventHeap.Run]]): a worker's completions and one source NIC's
+  * remote deliveries are each scheduled in nondecreasing `(time, seq)`
+  * order, so each goes to a lane of its own and only the lane's head waits
+  * in the heap.
   */
 final class Sim {
   private val events = new EventHeap[Long => Unit]
@@ -194,66 +200,38 @@ final class Sim {
   def idle: Boolean = events.isEmpty
 }
 
-/** A FIFO of events whose times never decrease, each with a `Long` tag
-  * passed to [[popped]] just before its callback runs. While the lane is
-  * non-empty its head, and only its head, is in [[Sim]]'s heap; running the
-  * head puts the next one there. The ring buffer is allocated on the first
-  * [[push]].
+/** A FIFO of events whose times never decrease, kept in an
+  * [[EventHeap.Run]] with a `Long` tag each, which is passed to [[popped]]
+  * just before the event's callback runs. While the lane is non-empty its
+  * head, and only its head, is in [[Sim]]'s heap; running the head puts the
+  * next one there.
   */
 private[timely] class Lane(sim: Sim) extends (Long => Unit) {
-  private var times = Array.emptyLongArray
-  private var seqs  = Array.emptyLongArray
-  private var tags  = Array.emptyLongArray
-  private var items = new Array[Long => Unit](0)
-  private var head  = 0
-  private var n     = 0
-  private var last  = 0L
+  private val run = new EventHeap.Run
 
   /** Append `f` at `t`, which must be no earlier than the lane's last time
     * nor than `now`.
     */
   def push(t: Long, f: Long => Unit, tag: Long = 0L): Unit = {
-    if (t < last || t < sim.now)
-      throw new IllegalArgumentException(s"requirement failed: lane time $t is behind ${math.max(last, sim.now)}")
-    last = t
+    if (t < run.lastTime || t < sim.now)
+      throw new IllegalArgumentException(s"requirement failed: lane time $t is behind ${math.max(run.lastTime, sim.now)}")
     val seq = sim.nextSeq()
-    if (n == times.length) grow()
-    val i = (head + n) & (times.length - 1)
-    times(i) = t; seqs(i) = seq; tags(i) = tag; items(i) = f
-    if (n == 0) sim.push(t, seq, this)
-    n += 1
+    run.push(t, seq, f, tag)
+    if (run.n == 1) sim.push(t, seq, this)
   }
 
   /** Called by [[Sim]] when the head is due: runs the head's callback. */
   def apply(t: Long): Unit = {
-    val f   = items(head)
-    val tag = tags(head)
-    items(head) = null
-    head = (head + 1) & (times.length - 1)
-    n -= 1
-    if (n > 0) sim.push(times(head), seqs(head), this)
+    val f   = run.headItem.asInstanceOf[Long => Unit]
+    val tag = run.headTag
+    run.pop()
+    if (run.n > 0) sim.push(run.headTime, run.headSeq, this)
     popped(tag)
     f(t)
   }
 
   /** Hook run with an event's tag just before its callback. */
   protected def popped(tag: Long): Unit = ()
-
-  /** Double the full ring, unwrapping it to start at 0. */
-  private def grow(): Unit = {
-    val cap   = math.max(8, 2 * times.length)
-    val first = times.length - head
-    def copy[A <: AnyRef](a: A, b: A): A = {
-      System.arraycopy(a, head, b, 0, first)
-      System.arraycopy(a, 0, b, first, head)
-      b
-    }
-    times = copy(times, new Array[Long](cap))
-    seqs = copy(seqs, new Array[Long](cap))
-    tags = copy(tags, new Array[Long](cap))
-    items = copy(items, new Array[Long => Unit](cap))
-    head = 0
-  }
 }
 
 /** A simulated worker: a single CPU with a FIFO run queue.

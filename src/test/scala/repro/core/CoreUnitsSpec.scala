@@ -5,17 +5,29 @@ import org.scalatest.funsuite.AnyFunSuite
 class NotificatorSpec extends AnyFunSuite {
   private def rec(v: Long) = Rec[Long, Long](0L, v)
 
+  /** Drain `n` below `frontier` through a due set, as S does: the
+    * `(time, value)` pairs in the order S reads them.
+    */
+  private def drain(n: Notificator[Long, Long], frontier: Long): Seq[(Long, Long)] = {
+    val due = new Notificator.Due[Long, Long]
+    n.drainTo(frontier, due)
+    due.sort()
+    val out = Seq.newBuilder[(Long, Long)]
+    while (!due.isEmpty) { out += ((due.minTime, due.minRec.value)); due.removeMin() }
+    out.result()
+  }
+
   test("drain returns triples strictly below the frontier, in time order") {
     val n = new Notificator[Long, Long]
     n.schedule(30, rec(3)); n.schedule(10, rec(1)); n.schedule(20, rec(2))
-    assert(n.drain(25).map(_._1) == Seq(10L, 20L))
+    assert(drain(n, 25) == Seq((10L, 1L), (20L, 2L)))
     assert(n.size == 1 && n.minTime == 30L)
   }
 
   test("drain at or below the min time returns nothing") {
     val n = new Notificator[Long, Long]
     n.schedule(10, rec(1))
-    assert(n.drain(10).isEmpty && n.size == 1)
+    assert(drain(n, 10).isEmpty && n.size == 1)
   }
 
   test("empty notificator has maximal minTime") {
@@ -23,10 +35,10 @@ class NotificatorSpec extends AnyFunSuite {
     assert(n.isEmpty && n.minTime == Long.MaxValue)
   }
 
-  test("drainAll empties the queue") {
+  test("draining below Long.MaxValue empties the queue") {
     val n = new Notificator[Long, Long]
     (1 to 5).foreach(i => n.schedule(i.toLong, rec(i.toLong)))
-    assert(n.drainAll().size == 5 && n.isEmpty)
+    assert(drain(n, Long.MaxValue).size == 5 && n.isEmpty && n.minTime == Long.MaxValue)
   }
 
   test("many triples maintain heap order (priority-queue internals)") {
@@ -34,7 +46,7 @@ class NotificatorSpec extends AnyFunSuite {
     val n   = new Notificator[Long, Long]
     val ts  = Seq.fill(1000)(rng.nextLong(1_000_000L))
     ts.foreach(t => n.schedule(t, rec(t)))
-    val drained = n.drain(Long.MaxValue).map(_._1)
+    val drained = drain(n, Long.MaxValue).map(_._1)
     assert(drained == ts.sorted)
   }
 }

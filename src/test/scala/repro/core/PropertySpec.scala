@@ -26,33 +26,28 @@ class PropertySpec extends AnyFunSuite {
 
   test("Notificator drains random interleaved schedules in (t, seq) order") {
     check(Prop.forAll(genNotifyOps) { ops =>
-      val n       = new Notificator[Long, Long]
-      val into    = new Notificator.Due[Long, Long]
-      val ref     = mutable.ArrayBuffer.empty[(Long, Long)]
-      var seq     = 0L
-      var ok      = true
-      ops.zipWithIndex.foreach {
-        case ((Some(t), _), _) =>
+      val n    = new Notificator[Long, Long]
+      val into = new Notificator.Due[Long, Long]
+      val ref  = mutable.ArrayBuffer.empty[(Long, Long)]
+      var seq  = 0L
+      var ok   = true
+      // Drain below `f` into the reused due set and check the records S reads.
+      def drain(f: Long): Unit = {
+        val due = ref.filter(_._1 < f).sortBy(identity)
+        ref --= due
+        ok &&= n.drainTo(f, into) == due.map(_._2).sum
+        into.sort()
+        ok &&= readDue(into).map(x => (x._1, x._2.value, x._2.weight)) == due.map(x => (x._1, x._2, x._2)).toSeq
+      }
+      ops.foreach {
+        case (Some(t), _) =>
           seq += 1
           n.schedule(t, Rec(t, seq, weight = seq), seq)
           ref += ((t, seq))
-        case ((None, f), i) =>
-          val due = ref.filter(_._1 < f).sortBy(identity)
-          ref --= due
-          // Alternate between the two ways of draining.
-          val got =
-            if (i % 2 == 0) n.drain(f).map(x => (x._1, x._2))
-            else {
-              val w = n.drainTo(f, into)
-              ok &&= w == due.map(_._2).sum
-              into.sort()
-              readDue(into).map(x => (x._1, x._2.value))
-            }
-          ok &&= got == due.toSeq
+        case (None, f) => drain(f)
       }
-      val rest = n.drainAll().map(x => (x._1, x._2, x._3.value))
-      ok && rest == ref.sortBy(identity).map(x => (x._1, x._2, x._2)).toSeq && n.isEmpty &&
-        n.minTime == Long.MaxValue
+      drain(Long.MaxValue)
+      ok && ref.isEmpty && n.isEmpty && n.minTime == Long.MaxValue
     })
   }
 

@@ -5,9 +5,9 @@ import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
-/** Random schedules for [[Sim]] (its heap, worker and NIC lanes) and random
-  * pointstamp traffic for [[Tracker]], each checked against a plain
-  * reference model.
+/** Random schedules for [[Sim]] (its heap, worker and NIC lanes, and each
+  * NIC's in-flight bytes) and random pointstamp traffic for [[Tracker]],
+  * each checked against a plain reference model.
   */
 class PropertySpec extends AnyFunSuite {
   import PropertySpec._
@@ -24,12 +24,20 @@ class PropertySpec extends AnyFunSuite {
       val workers = Array.tabulate(Workers)(new SimWorker(_, sim))
       val net     = new Net(sim, BytesPerNs, LatencyNs)
       val log     = mutable.ArrayBuffer.empty[(Int, Long)]
+      val sent    = new Array[Long](Workers) // remote bytes sent minus delivered, by source
       var clockOk = true
-      def ran(o: Op, at: Long): Unit = { clockOk &&= at == sim.now; log += ((o.id, at)); o.kids.foreach(schedule) }
+      def ran(o: Op, at: Long): Unit = {
+        o match { case Send(_, src, dst, by, _) if src != dst => sent(src) -= by; case _ => () }
+        clockOk &&= at == sim.now && (0 until Workers).forall(s => net.inFlightBySrc(s) == sent(s))
+        log += ((o.id, at))
+        o.kids.foreach(schedule)
+      }
       def schedule(o: Op): Unit = o match {
-        case At(_, t, _)              => sim.at(t)(ran(o, sim.now))
-        case Exec(_, w, cost, _)      => workers(w).exec(cost)(ran(o, _))
-        case Send(_, src, dst, by, _) => net.send(src, dst, by)(ran(o, _))
+        case At(_, t, _)         => sim.at(t)(ran(o, sim.now))
+        case Exec(_, w, cost, _) => workers(w).exec(cost)(ran(o, _))
+        case Send(_, src, dst, by, _) =>
+          if (src != dst) sent(src) += by
+          net.send(src, dst, by)(ran(o, _))
       }
       before.foreach(schedule)
       sim.run(until)
@@ -230,14 +238,29 @@ object PropertySpec {
       )
     } yield op
 
+  /** Up to 40 remote sends from one source: enough to grow its NIC lane's
+    * ring, which its deliveries' kids and later sends then wrap around.
+    */
+  private def genBurst(ids: Iterator[Int]): Gen[List[Op]] =
+    for {
+      src <- Gen.choose(0, Workers - 1)
+      n   <- Gen.choose(0, 40)
+      sends <- Gen.listOfN(n, for {
+                 dst  <- Gen.choose(1, Workers - 1).map(d => (src + d) % Workers)
+                 by   <- Gen.choose(0L, 9L)
+                 kids <- Gen.frequency(3 -> Gen.const(Nil), 1 -> genOp(1, ids).map(List(_)))
+               } yield Send(ids.next(), src, dst, by, kids))
+    } yield sends
+
   /** Calls made before `run(until)`, calls made after it, `until`. */
   val genSchedule: Gen[(List[Op], List[Op], Long)] = Gen.delay {
     val ids = Iterator.from(0)
     for {
       before <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, genOp(2, ids)))
+      burst  <- genBurst(ids)
       after  <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, genOp(2, ids)))
       until  <- Gen.choose(0L, 50L)
-    } yield (before, after, until)
+    } yield (before ++ burst, after, until)
   }
 
   /** The (id, time) run order of a mixed schedule: each call becomes one
