@@ -3,8 +3,7 @@ package repro.sparkmega
 import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.StructType
+import org.apache.spark.sql.types.{LongType, StructType}
 import repro.core.Moves
 import scala.collection.mutable
 
@@ -18,28 +17,28 @@ import scala.collection.mutable
   * binned state of §4.2). The configuration function is a bin → worker
   * routing table, and a migration is — exactly as in §3.3 — a set of
   * `(bin, worker)` updates taking effect at a batch boundary (the logical
-  * timestamp). One batch runs in two steps, and each ships whole blocks of
-  * primitive arrays, never one record per key or row:
+  * timestamp). One batch is one Spark job with one commit; its shuffles ship
+  * whole blocks of primitive arrays, never one record per key or row:
   *
-  *  - Migration. Each holder takes the updated bins it holds out of its
-  *    state and ships every such bin as one block (bin, keys, counts) to the
-  *    bin's new owner, which rebuilds the bin's map from it (§3.4: the bin is
-  *    the unit of state). The staying bins' maps are carried over untouched.
-  *    The migration's cost is therefore precisely the moving bins' rows:
-  *    all-at-once pays it in one batch, fluid/batched spread it.
+  *  - Migration. Each holder ships every updated bin it holds as one block
+  *    (bin, keys, counts) to the bin's new owner (§3.4: the bin is the unit
+  *    of state); the staying bins' maps carry over untouched. The
+  *    migration's cost is therefore precisely the moving bins' rows:
+  *    all-at-once pays it in one batch, fluid/batched spread it. A batch
+  *    without updates builds no migration shuffle.
   *  - Fold. Each map partition of the batch sums its rows per key into one
-  *    table per owner under the routing after the migration, and ships each
-  *    non-empty table as one block (keys, sums) to that owner, where it is
-  *    zipped with the state. Only the aggregated batch is shuffled.
+  *    table per owner under the routing after the updates, and ships each
+  *    non-empty table as one block (keys, sums) to that owner.
   *
-  * Both shuffles use `partitionBy` under the identity partitioner with no
-  * aggregator, so with up to 200 workers (Spark's default bypass threshold)
-  * Spark writes them with its bypass-merge writer.
+  * Each worker zips its state with both shuffles' blocks, state before
+  * records (§3.4). Both shuffles use `partitionBy` under the identity
+  * partitioner with no aggregator, so with up to 200 workers (Spark's
+  * default bypass threshold) Spark writes them with its bypass-merge writer.
   *
-  * Each step ends in a commit: `localCheckpoint` and one action, which
+  * The batch ends in a commit: `localCheckpoint` and one action, which
   * materialises the new state and cuts its lineage. Committed maps are never
-  * mutated (the block manager holds them); a step copies a bin's map before
-  * it changes it.
+  * mutated (the block manager holds them); a batch copies a committed bin's
+  * map before it changes it.
   *
   * OSS Structured Streaming pins its state store to fixed shuffle partitions;
   * placing state by an explicit routing table exposes the knob Megaphone needs.
@@ -67,7 +66,7 @@ final class SparkMegaphone(
     sc.parallelize(0 until numWorkers, numWorkers)
       .map(w => (w, new Bins(nb)))
       .partitionBy(new ByWorker(numWorkers))
-  }(_ => 0L)
+  }
 
   /** The committed state RDD (tests inspect its placement and lineage). */
   private[sparkmega] def stateRdd: RDD[(Int, Bins)] = parts
@@ -87,6 +86,9 @@ final class SparkMegaphone(
     spark.createDataFrame(rows, StateSchema)
   }
 
+  /** `migrateMillis` is `batchMillis` for a batch that carries updates (its
+    * migration completes when the batch's one job commits) and 0 otherwise.
+    */
   final case class BatchResult(
       batchMillis: Long,
       migrateMillis: Long,
@@ -95,28 +97,32 @@ final class SparkMegaphone(
   )
 
   /** Mark `next` for local checkpointing, materialise it with one job that
-    * sums `measure` over its partitions, and make it the state. The old
-    * state's blocks are dropped before returning: removed in the background,
-    * they slowed the next step's tasks.
+    * counts its rows, and make it the state. The old state's blocks are
+    * dropped before returning: removed in the background, they slowed the
+    * next batch's tasks.
     */
-  private def commit(next: RDD[(Int, Bins)])(measure: Bins => Long): Long = {
+  private def commit(next: RDD[(Int, Bins)]): Long = {
     next.localCheckpoint()
-    val total = sc.runJob(next, (it: Iterator[(Int, Bins)]) => measure(it.next()._2)).sum
+    val rows = sc.runJob(next, (it: Iterator[(Int, Bins)]) => it.next()._2.iterator.filter(_ != null).map(_.size.toLong).sum)
     if (parts != null) parts.unpersist(blocking = true)
     parts = next
-    total
+    rows.sum
   }
 
-  /** One micro-batch: apply configuration updates (migrating exactly the
-    * updated bins' rows), then fold the batch into per-key counts. `batch`
-    * has columns (key: Long, value: Long). Every update's bin must lie in
-    * `[0, numBins)` and its worker in `[0, numWorkers)`; otherwise this
-    * throws before the routing changes. When a bin is updated more than
-    * once, the last update wins.
+  /** One micro-batch in one job: apply configuration updates (migrating
+    * exactly the updated bins' rows), then fold the batch into per-key
+    * counts. `batch` must have columns (key: Long, value: Long), every
+    * update's bin must lie in `[0, numBins)` and its worker in
+    * `[0, numWorkers)`, or this throws before the routing changes. When a
+    * bin is updated more than once, the last update wins.
     */
   def processBatch(batch: DataFrame, updates: Seq[(Int, Int)] = Nil): BatchResult = {
     val tAll = System.nanoTime()
     val nb   = numBins
+    val Seq(ki, vi) = Seq("key", "value").map { c =>
+      require(batch.schema(c).dataType == LongType, s"column $c is ${batch.schema(c).dataType.simpleString}, not bigint")
+      batch.schema.fieldIndex(c)
+    }
     updates.foreach { case (b, w) =>
       require(b >= 0 && b < numBins, s"bin $b outside [0, $numBins)")
       require(w >= 0 && w < numWorkers, s"worker $w outside [0, $numWorkers)")
@@ -125,61 +131,41 @@ final class SparkMegaphone(
     // Both shuffles route by one snapshot, which later batches cannot change.
     val owners = routing.clone()
 
-    // ---- migration: ship each updated bin a worker holds as one block to its
-    // new owner. Both sides touch only the updated bins; the others carry over.
-    var migrateMillis = 0L
-    var movedRows     = 0L
-    if (updates.nonEmpty) {
-      val t0    = System.nanoTime()
-      val moved = updates.map(_._1).distinct.toArray
-      val leaving = parts
-        .flatMap { case (_, bins) =>
-          moved.iterator.filter(bins(_) != null).map { b =>
-            val (keys, counts) = toBlock(bins(b))
-            (owners(b), (b, keys, counts))
-          }
-        }
-        .partitionBy(new ByWorker(numWorkers))
-      val next = parts.zipPartitions(leaving, preservesPartitioning = true) { (st, arriving) =>
-        val (w, old) = st.next()
-        val bins     = old.clone()
-        moved.foreach(bins(_) = null)
-        arriving.foreach { case (_, (b, keys, counts)) => bins(b) = mutable.LongMap.fromZip(keys, counts) }
-        Iterator.single((w, bins))
-      }
-      movedRows = commit(next)(bins => moved.iterator.filter(bins(_) != null).map(bins(_).size.toLong).sum)
-      migrateMillis = (System.nanoTime() - t0) / 1_000_000L
-    }
-
-    // ---- state update: fold the batch into per-key counts at their owners.
-    // `toRdd` skips the conversion to external rows; the two longs are read
-    // out of each (reused) internal row at once.
+    // ---- fold: each map partition sums its rows per key into one block per
+    // owner, reading the (reused) internal rows of the batch's own plan.
     val nw = numWorkers
-    val deltas = batch
-      .select(col("key").cast("long"), col("value").cast("long"))
-      .queryExecution.toRdd
+    val deltas = batch.queryExecution.toRdd
       .mapPartitions { rows =>
         val sums = Array.fill(nw)(mutable.LongMap.empty[Long])
         rows.foreach { r =>
-          val k = r.getLong(0)
+          val k = r.getLong(ki)
           val s = sums(owners(binOf(k, nb)))
-          s(k) = s.getOrElse(k, 0L) + r.getLong(1)
+          s(k) = s.getOrElse(k, 0L) + r.getLong(vi)
         }
         sums.indices.iterator.filter(sums(_).nonEmpty).map(w => (w, toBlock(sums(w))))
       }
       .partitionBy(new ByWorker(numWorkers))
-    val next = parts.zipPartitions(deltas, preservesPartitioning = true) { (st, blocks) =>
+    val moved     = updates.map(_._1).distinct.toArray
+    val installed = sc.longAccumulator // rows of the arriving bins
+    val installThenFold = (st: Iterator[(Int, Bins)], arriving: Iterator[(Int, (Int, Array[Long], Array[Long]))],
+                           blocks: Iterator[(Int, (Array[Long], Array[Long]))]) => {
       val (w, old) = st.next()
       val bins     = old.clone()
-      val copied   = new Array[Boolean](nb) // bins already copied for this batch
+      val own      = new Array[Boolean](nb) // bins this batch may change in place
+      moved.foreach(bins(_) = null)
+      arriving.foreach { case (_, (b, keys, counts)) =>
+        bins(b) = mutable.LongMap.fromZip(keys, counts)
+        installed.add(keys.length.toLong)
+        own(b) = true
+      }
       blocks.foreach { case (_, (keys, sums)) =>
         var i = 0
         while (i < keys.length) {
           val k = keys(i)
           val b = binOf(k, nb)
-          if (!copied(b)) {
+          if (!own(b)) {
             bins(b) = if (bins(b) == null) mutable.LongMap.empty[Long] else bins(b).clone()
-            copied(b) = true
+            own(b) = true
           }
           bins(b)(k) = bins(b).getOrElse(k, 0L) + sums(i)
           i += 1
@@ -187,9 +173,23 @@ final class SparkMegaphone(
       }
       Iterator.single((w, bins))
     }
-    val updatedRows = commit(next)(_.iterator.filter(_ != null).map(_.size.toLong).sum)
-
-    BatchResult((System.nanoTime() - tAll) / 1_000_000L, migrateMillis, movedRows, updatedRows)
+    // ---- migration, only when bins move: one block per updated bin a worker holds.
+    val next =
+      if (moved.isEmpty) parts.zipPartitions(deltas, preservesPartitioning = true)(installThenFold(_, Iterator.empty, _))
+      else {
+        val leaving = parts
+          .flatMap { case (_, bins) =>
+            moved.iterator.filter(bins(_) != null).map { b =>
+              val (keys, counts) = toBlock(bins(b))
+              (owners(b), (b, keys, counts))
+            }
+          }
+          .partitionBy(new ByWorker(numWorkers))
+        parts.zipPartitions(leaving, deltas, preservesPartitioning = true)(installThenFold)
+      }
+    val updatedRows = commit(next)
+    val batchMillis = (System.nanoTime() - tAll) / 1_000_000L
+    BatchResult(batchMillis, if (updates.nonEmpty) batchMillis else 0L, installed.sum, updatedRows)
   }
 
   /** Release the committed state's blocks. */

@@ -1,5 +1,7 @@
 package repro
 
+import org.apache.logging.log4j.Level
+import org.apache.logging.log4j.core.config.Configurator
 import org.apache.spark.sql.SparkSession
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -22,6 +24,8 @@ object SparkSpec {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
+    // Unpersisting a locally checkpointed RDD warns once per commit, which buries the bench tables.
+    Configurator.setLevel("org.apache.spark.rdd", Level.ERROR)
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -1,9 +1,9 @@
 package repro.sparkmega
 
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.rdd.RDD
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, SynthData}
@@ -99,11 +99,15 @@ class SparkMegaphoneSpec extends SparkSpec {
     eng.close()
   }
 
-  /** Runs `f` and returns its result with the shuffle records its jobs wrote. */
-  private def shuffleRecords[T](f: => T): (T, Long) = {
+  /** Runs `f` and returns its result with the shuffle records its jobs wrote
+    * and the number of jobs it ran.
+    */
+  private def sparkWork[T](f: => T): (T, Long, Int) = {
     val sc      = spark.sparkContext
     val records = new AtomicLong
+    val jobs    = new AtomicInteger
     val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
         if (e.taskMetrics != null) records.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
     }
@@ -112,8 +116,13 @@ class SparkMegaphoneSpec extends SparkSpec {
     try {
       val r = f
       ListenerBusDrain(sc)
-      (r, records.get)
+      (r, records.get, jobs.get)
     } finally sc.removeSparkListener(listener)
+  }
+
+  private def shuffleRecords[T](f: => T): (T, Long) = {
+    val (r, records, _) = sparkWork(f)
+    (r, records)
   }
 
   test("a fold-only batch shuffles the batch, not the state") {
@@ -143,6 +152,18 @@ class SparkMegaphoneSpec extends SparkSpec {
       s"fold alone $foldOnly records, with migration $withMig, ${held.length} moved bins hold rows")
     assert(res.movedRows > 0)
     assert(res.movedRows == held.map(_._2).sum, s"moved ${res.movedRows} rows, the moved bins held ${held.map(_._2).sum}")
+    eng.close()
+  }
+
+  test("a batch runs as one Spark job, with or without a migration") {
+    val b   = batches(1, 500, 1000, seed = 99L).head
+    val eng = new SparkMegaphone(spark, Bins, Workers)
+    batches(2, 3000, 1000).foreach(eng.processBatch(_))
+    val (_, _, foldJobs)  = sparkWork(eng.processBatch(b))
+    val (res, _, migJobs) = sparkWork(eng.processBatch(b, SparkMegaphone.imbalance(Bins, Workers)))
+    assert(res.movedRows > 0)
+    assert(foldJobs == 1, s"a fold-only batch ran $foldJobs jobs")
+    assert(migJobs == 1, s"a migrating batch ran $migJobs jobs")
     eng.close()
   }
 
@@ -228,6 +249,24 @@ class SparkMegaphoneSpec extends SparkSpec {
     eng.processBatch(bs(0))
     for (bad <- Seq((Bins, 0), (-1, 0), (3, Workers), (3, -1)))
       intercept[IllegalArgumentException](eng.processBatch(bs(1), Seq((0, 1), bad)))
+    (0 until Bins).foreach(b => assert(eng.currentOwner(b) == b % Workers, s"bin $b"))
+    eng.processBatch(bs(1))
+    Oracle.assertEquivalent(
+      eng.state.select($"key", $"cnt"),
+      "SELECT CAST(key AS BIGINT) AS key, SUM(CAST(value AS BIGINT)) AS cnt FROM input GROUP BY key",
+      "input" -> bs.reduce(_ union _),
+    )
+    eng.close()
+  }
+
+  test("a batch whose columns are not both bigint fails before the routing changes") {
+    val bs  = batches(2, 1000, 300, seed = 700L)
+    val eng = new SparkMegaphone(spark, Bins, Workers)
+    eng.processBatch(bs(0))
+    val bad = intercept[IllegalArgumentException] {
+      eng.processBatch(bs(1).withColumn("value", $"value".cast("int")), Seq((0, 1)))
+    }
+    assert(bad.getMessage.contains("column value is int"), bad.getMessage)
     (0 until Bins).foreach(b => assert(eng.currentOwner(b) == b % Workers, s"bin $b"))
     eng.processBatch(bs(1))
     Oracle.assertEquivalent(
