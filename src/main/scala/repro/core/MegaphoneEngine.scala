@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.timely.{EventHeap, Net, Sim, SimWorker, Tracker}
-import scala.collection.{immutable, mutable}
+import scala.collection.mutable
 import MegaphoneEngine.OnLatency
 
 /** The Megaphone construction of §3.4 over the simulated timely substrate.
@@ -61,18 +61,16 @@ final class MegaphoneEngine[K, V, O](
     */
   private val assignTable: Array[Int] = Array.tabulate(numBins)(_ % numWorkers)
 
-  private val initialOwner: Array[Int] = assignTable.clone()
-
   /** Time-dependent configuration function: per-bin update history, null
-    * for a bin that never received an update.
+    * for a bin that never received an update (it is still at its
+    * `assignTable` owner).
     */
   private val binHistory = new Array[BinHistory](numBins)
 
   /** configuration(time, bin) → worker (§3.2). */
   def route(time: Long, bin: Int): Int = {
     val h = binHistory(bin)
-    val w = if (h == null) -1 else h.ownerAt(time)
-    if (w < 0) initialOwner(bin) else w
+    if (h == null) assignTable(bin) else h.ownerAt(time)
   }
 
   /** Current owner per the latest ingested configuration. */
@@ -303,10 +301,11 @@ final class MegaphoneEngine[K, V, O](
 
   // F's per-batch scratch, shared by every F, since routing a batch
   // returns before any other batch is routed: the records and each one's
-  // destination, and per destination the number of records, their array and
-  // their weight.
+  // destination, the destinations in use, and per destination the number of
+  // records, their array and their weight.
   private var batch   = new Array[Rec[K, V]](16)
   private var dstOf   = new Array[Int](16)
+  private val dsts    = new Array[Int](numWorkers)
   private val count   = new Array[Int](numWorkers)
   private val out     = new Array[Array[Rec[K, V]]](numWorkers)
   private val weights = new Array[Long](numWorkers)
@@ -331,6 +330,7 @@ final class MegaphoneEngine[K, V, O](
 
     private def routeNow(t: Long, recs: Seq[Rec[K, V]]): Unit = {
       var n  = 0
+      var nd = 0
       val it = recs.iterator
       while (it.hasNext) {
         val r = it.next()
@@ -341,16 +341,19 @@ final class MegaphoneEngine[K, V, O](
         val d = route(t, binOf(r.key))
         batch(n) = r
         dstOf(n) = d
+        if (count(d) == 0) { dsts(nd) = d; nd += 1 }
         count(d) += 1
         n += 1
       }
-      val dsts = sendOrder(count)
+      // Messages leave in destination order, as timely's exchange flushes
+      // its pushers in worker order.
+      java.util.Arrays.sort(dsts, 0, nd)
       // The batch's hold passes to the first destination's message.
-      if (dsts.length > 1) holdBoth(t, dsts.length - 1L)
+      if (nd > 1) holdBoth(t, nd - 1L)
       // Each record to its destination's array, in batch order; `count`
       // counts down to the next free place and ends at 0.
       var k = 0
-      while (k < dsts.length) { out(dsts(k)) = new Array[Rec[K, V]](count(dsts(k))); k += 1 }
+      while (k < nd) { out(dsts(k)) = new Array[Rec[K, V]](count(dsts(k))); k += 1 }
       var i = 0
       while (i < n) {
         val d  = dstOf(i)
@@ -362,7 +365,7 @@ final class MegaphoneEngine[K, V, O](
         i += 1
       }
       k = 0
-      while (k < dsts.length) {
+      while (k < nd) {
         val dst    = dsts(k)
         val weight = weights(dst)
         val rs     = out(dst)
@@ -381,42 +384,6 @@ final class MegaphoneEngine[K, V, O](
         // buffer is a lookup we fold into scheduling noise.
         routeNow(t, recs.toSeq)
       }
-  }
-
-  /** Destinations with a nonzero `count`, in the order in which the
-    * `immutable.HashMap` built by `groupBy` iterates them. Sends leave in this
-    * order and queue at the NIC in it, so it is part of the simulated output.
-    * The order depends only on the set of destinations; it is cached per set.
-    */
-  private[core] def sendOrder(count: Array[Int]): Array[Int] = {
-    var mask = 0L
-    var dsts = 0
-    var last = 0
-    var w    = 0
-    while (w < numWorkers) {
-      if (count(w) > 0) { mask |= 1L << (w & 63); dsts += 1; last = w }
-      w += 1
-    }
-    if (dsts == 1) {
-      if (singleSends(last) == null) singleSends(last) = Array(last)
-      singleSends(last)
-    }
-    else if (numWorkers > 64) groupByOrder(count)
-    else {
-      val cached = sendOrders.getOrNull(mask)
-      if (cached != null) cached
-      else { val order = groupByOrder(count); sendOrders(mask) = order; order }
-    }
-  }
-
-  private val sendOrders  = mutable.LongMap.empty[Array[Int]]
-  private val singleSends = new Array[Array[Int]](numWorkers)
-
-  private def groupByOrder(count: Array[Int]): Array[Int] = {
-    val present = (0 until numWorkers).filter(count(_) > 0)
-    val order   = mutable.ArrayBuffer.empty[Int]
-    immutable.HashMap.from(present.map(_ -> ())).foreach { case (w, _) => order += w }
-    order.toArray
   }
 
   val sOps: Array[SOp] = Array.tabulate(numWorkers)(new SOp(_))
@@ -454,7 +421,7 @@ final class MegaphoneEngine[K, V, O](
     * bin from an owner it has not reached yet.
     */
   private def ingestUpdate(t: Long, bin: Int, newWorker: Int): Unit = {
-    if (binHistory(bin) == null) binHistory(bin) = new BinHistory
+    if (binHistory(bin) == null) binHistory(bin) = new BinHistory(assignTable(bin))
     val history = binHistory(bin)
     require(t > history.lastTime, s"configuration update for bin $bin at $t is not after its update at ${history.lastTime}")
     val oldWorker = assignTable(bin)
@@ -568,14 +535,16 @@ final class MegaphoneEngine[K, V, O](
   }
 }
 
-/** One bin's configuration updates, ascending by time, in primitive arrays. */
-private[core] final class BinHistory {
-  private var times  = new Array[Long](2)
-  private var owners = new Array[Int](2)
-  private var n      = 0
+/** One bin's configuration, ascending by time, in primitive arrays: its
+  * owner before any update (at `Long.MinValue`), then each update.
+  */
+private[core] final class BinHistory(initialOwner: Int) {
+  private var times  = Array(Long.MinValue, 0L)
+  private var owners = Array(initialOwner, 0)
+  private var n      = 1
 
   /** Time of the latest update, or `Long.MinValue` if there is none. */
-  def lastTime: Long = if (n == 0) Long.MinValue else times(n - 1)
+  def lastTime: Long = times(n - 1)
 
   /** Record that the bin belongs to `worker` from time `t` (> [[lastTime]]) on. */
   def put(t: Long, worker: Int): Unit = {
@@ -588,12 +557,12 @@ private[core] final class BinHistory {
     n += 1
   }
 
-  /** Owner by the latest update at or before `t`, or -1 if there is none. */
+  /** Owner by the latest update at or before `t`. */
   def ownerAt(t: Long): Int =
-    if (n > 0 && t >= times(n - 1)) owners(n - 1)
+    if (t >= times(n - 1)) owners(n - 1)
     else {
       val i = java.util.Arrays.binarySearch(times, 0, n, t)
-      if (i >= 0) owners(i) else if (i == -1) -1 else owners(-i - 2)
+      owners(if (i >= 0) i else -i - 2)
     }
 }
 

@@ -4,7 +4,7 @@ import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StructType}
-import repro.core.Moves
+import repro.core.{Batched, Moves}
 import scala.collection.mutable
 
 /** Megaphone's migration mechanism instantiated on Spark as a micro-batch
@@ -241,7 +241,7 @@ object SparkMegaphone {
       case other         => throw new IllegalArgumentException(s"unknown strategy $other")
     }
     val per = math.max(1, math.ceil(moves.size.toDouble / slices).toInt)
-    moves.grouped(per).zipWithIndex.map { case (g, i) => (startBatch + i, g) }.toMap
+    Batched(per).batches(moves).zipWithIndex.map { case (g, i) => (startBatch + i, g) }.toMap
   }
 
   /** The canonical §5 move set on the Spark engine's modulo assignment. */

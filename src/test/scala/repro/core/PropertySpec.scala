@@ -3,12 +3,11 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
-import repro.timely.Sim
 import scala.collection.mutable
 
-/** Random operation sequences for the notificator heap, the per-bin state
-  * table and F's send order, each checked against a plain reference model,
-  * and random migrations of the engine, checked against a run without one.
+/** Random operation sequences for the notificator heap and the per-bin
+  * state table, each checked against a plain reference model, and random
+  * migrations of the engine, checked against a run without one.
   */
 class PropertySpec extends AnyFunSuite {
 
@@ -122,18 +121,6 @@ class PropertySpec extends AnyFunSuite {
       val bySlot = (0 until s.slots).filter(s.occupied).map(s.valueAt).sum
       ok && s.iterator.toMap == ref.toMap && s.size == ref.size && bySlot == ref.values.sum &&
         (0 to 3).forall(k => s.indexOf(key(k, 61)) < 0)
-    })
-  }
-
-  test("F sends to its destinations in the order of groupBy's map") {
-    val engine = new MegaphoneEngine[Long, Long, (Long, Long)](
-      new Sim, 16, 64, CostModel.keyCount, new WordCountRig.SumLogic, k => (k % 64).toInt)
-    check(Prop.forAll(Gen.nonEmptyListOf(Gen.choose(0, 15))) { dsts =>
-      val count = new Array[Int](16)
-      dsts.foreach(d => count(d) += 1)
-      val expected = mutable.ArrayBuffer.empty[Int]
-      dsts.groupBy(identity).foreach { case (d, _) => expected += d }
-      engine.sendOrder(count).toSeq == expected.toSeq
     })
   }
 
