@@ -36,150 +36,20 @@ trait BinLogic[K, V, O] {
   def stateBytes(state: St): Long = 64L
 }
 
-/** The extended notificator of §4.3: pending `(time, key, val)` triples,
-  * replayable for times not in advance of a frontier, and migrateable
-  * alongside its bin's state.
-  *
-  * An [[EventHeap]] keyed on `(time, seq)`: `seq` breaks timestamp ties, and
-  * the engine passes an engine-global insertion counter, so replay order is
-  * total and deterministic. The heap allocates its storage on the first
-  * [[schedule]]: an engine builds one notificator per bin, and most bins
-  * never schedule anything.
-  */
-final class Notificator[K, V] extends EventHeap[Rec[K, V]] {
-
-  /** Schedule a post-dated record; `seq` breaks timestamp ties FIFO so that
-    * replay order is deterministic (engine-global insertion order).
-    */
-  def schedule(t: Long, rec: Rec[K, V], seq: Long = 0L): Unit = push(t, seq, rec)
-
-  /** The record with the least `(time, seq)`; call only when non-empty. */
-  def minRec: Rec[K, V] = minItem
-
-  /** Move every triple with time strictly below `frontier` to the end of
-    * `due`, as one sorted run; returns the total weight of the records moved.
-    */
-  def drainTo(frontier: Long, due: Notificator.Due[K, V]): Long = {
-    var weight = 0L
-    due.startRun()
-    while (minTime < frontier) {
-      val r = minRec
-      due.append(minTime, minSeq, r)
-      removeMin()
-      weight += r.weight
-    }
-    weight
-  }
-}
-
-object Notificator {
-
-  /** The post-dated records due in one batch of S: each due bin's records
-    * are appended as a run sorted by `(time, seq)`, [[sort]] merges the runs
-    * once, and the batch then reads them front to back. Runs that continue
-    * the previous one in order are not split, so a batch whose runs arrive
-    * in order is not moved at all. The arrays are allocated on the first
-    * append and reused across batches.
-    */
-  final class Due[K, V] {
-    private var times  = Array.emptyLongArray
-    private var seqs   = Array.emptyLongArray
-    private var recs   = Array.emptyObjectArray
-    private var n      = 0
-    private var starts = Array.emptyIntArray // where each unmerged run begins
-    private var runs   = 0
-    private var pos    = 0                 // the next record to read
-    private var open   = false             // true until a run's first append
-
-    // Merge targets, swapped with the arrays above after each pass.
-    private var times2 = Array.emptyLongArray
-    private var seqs2  = Array.emptyLongArray
-    private var recs2  = Array.emptyObjectArray
-
-    def isEmpty: Boolean = pos == n
-    def minTime: Long    = if (pos == n) Long.MaxValue else times(pos)
-    def minRec: Rec[K, V] = recs(pos).asInstanceOf[Rec[K, V]]
-
-    /** Drop the record at [[minTime]]; once all are read, the set is empty
-      * for the next batch.
-      */
-    def removeMin(): Unit = {
-      recs(pos) = null
-      pos += 1
-      if (pos == n) { pos = 0; n = 0; runs = 0 }
-    }
-
-    /** The next [[append]]s form a new run. */
-    def startRun(): Unit = open = true
-
-    def append(t: Long, seq: Long, rec: Rec[K, V]): Unit = {
-      if (open) {
-        open = false
-        // A run that starts at or after the previous run's end continues it.
-        if (n == 0 || t < times(n - 1) || (t == times(n - 1) && seq < seqs(n - 1))) {
-          if (runs == starts.length) starts = java.util.Arrays.copyOf(starts, math.max(4, 2 * runs))
-          starts(runs) = n
-          runs += 1
-        }
-      }
-      if (n == times.length) {
-        val cap = math.max(16, 2 * n)
-        times = java.util.Arrays.copyOf(times, cap)
-        seqs = java.util.Arrays.copyOf(seqs, cap)
-        recs = java.util.Arrays.copyOf(recs, cap)
-      }
-      times(n) = t; seqs(n) = seq; recs(n) = rec
-      n += 1
-    }
-
-    /** Merge the runs pairwise, pass by pass, into one `(time, seq)` order. */
-    def sort(): Unit = if (runs > 1) {
-      if (times2.length < n) {
-        times2 = new Array[Long](times.length)
-        seqs2 = new Array[Long](times.length)
-        recs2 = new Array[AnyRef](times.length)
-      }
-      while (runs > 1) {
-        var r    = 0
-        var kept = 0
-        while (r < runs) {
-          val lo  = starts(r)
-          val mid = if (r + 1 < runs) starts(r + 1) else n
-          val hi  = if (r + 2 < runs) starts(r + 2) else n
-          merge(lo, mid, hi)
-          starts(kept) = lo
-          kept += 1
-          r += 2
-        }
-        runs = kept
-        val t = times; times = times2; times2 = t
-        val s = seqs; seqs = seqs2; seqs2 = s
-        val x = recs; recs = recs2; recs2 = x
-      }
-      java.util.Arrays.fill(recs2, 0, n, null)
-    }
-
-    /** Merge the sorted ranges `[lo, mid)` and `[mid, hi)` into the targets. */
-    private def merge(lo: Int, mid: Int, hi: Int): Unit = {
-      var i = lo
-      var j = mid
-      var k = lo
-      while (k < hi) {
-        val left = j == hi || (i < mid && (times(i) < times(j) || (times(i) == times(j) && seqs(i) < seqs(j))))
-        val from = if (left) { i += 1; i - 1 } else { j += 1; j - 1 }
-        times2(k) = times(from); seqs2(k) = seqs(from); recs2(k) = recs(from)
-        k += 1
-      }
-    }
-  }
-}
-
 /** One bin: a group of keys' states plus the bin's pending post-dated records.
   * This is the unit of migration.
   */
 final class Bin[K, V, O](val id: Int, val logic: BinLogic[K, V, O]) {
-  val states  = new BinStates[K, logic.St]
-  val pending = new Notificator[K, V]
+  val states = new BinStates[K, logic.St]
+
+  /** The extended notificator of §4.3: the bin's pending `(time, key, val)`
+    * triples, keyed on `(time, seq)`, replayed for times below a frontier
+    * and migrated with the bin. `seq` is the engine-global order in which
+    * the records were posted, so replay order is total and deterministic.
+    * The heap allocates its storage on the first push, and most bins never
+    * post anything.
+    */
+  val pending = new EventHeap[Rec[K, V]]
 
   /** Extra bytes this bin represents beyond live `states` entries — used by
     * the aggregate-mode benchmarks, where key counts are modelled, not stored.

@@ -30,8 +30,8 @@ final class MegaphoneEngine[K, V, O](
     val cost: CostModel,
     val logic: BinLogic[K, V, O],
     binOf: K => Int,
-    /** (completionNs, recordTime, output, weight) for every emitted output. */
-    onOutput: (Long, Long, O, Long) => Unit = null,
+    /** (recordTime, output) for every emitted output. */
+    onOutput: (Long, O) => Unit = null,
     /** Latencies of every applied input record (see [[OnLatency]]). */
     onLatency: OnLatency = null,
     noiseSeed: Long = 0xC0FFEEL,
@@ -134,37 +134,35 @@ final class MegaphoneEngine[K, V, O](
     private var last: Msg = null // the latest arrival, the tail of its chain
 
     /** Wake-ups for post-dated work, as `(time, bin id)` pairs (the bin id in
-      * the `seq` slot, no record): every owned bin with pending records has an
+      * the `seq` slot, no item): every owned bin with pending records has an
       * entry no later than its earliest one, so finding the due bins costs
       * O(due) rather than a scan of every bin.
       */
-    private val wakeups     = new Notificator[K, V]
+    private val wakeups     = new EventHeap[AnyRef]
     private var applyQueued = false
     private var applying    = false
 
     // The batch an apply task works on. At most one task is queued per S, so
     // the buffers are reused: the input messages in (time, arrival) order,
     // whose probe holds are released after the batch, and the due post-dated
-    // records sorted by (time, seq).
+    // records, popped in (time, seq) order.
     private var inMsgs  = new Array[Msg](16)
     private var inCount = 0
-    private val due     = new Notificator.Due[K, V]
+    private val due     = new EventHeap[Rec[K, V]]
 
     // The record being applied, read by `emit` and `post`, which are
     // allocated once per S rather than once per record.
-    private var curT    = 0L
-    private var curDone = 0L
-    private var curRec: Rec[K, V]    = _
+    private var curT                 = 0L
     private var curBin: Bin[K, V, O] = _
 
-    private val emit: O => Unit = o => if (onOutput != null) onOutput(curDone, curT, o, curRec.weight)
+    private val emit: O => Unit = o => if (onOutput != null) onOutput(curT, o)
 
     private val post: (Long, Rec[K, V]) => Unit = (t2, r2) => {
       if (t2 <= curT) throw new IllegalArgumentException(s"notify must be post-dated: $t2 <= $curT")
       if (binOf(r2.key) != curBin.id) throw new IllegalArgumentException("post-dated records stay in their key's bin")
       notifySeq += 1
-      if (t2 < curBin.pending.minTime) wakeups.schedule(t2, null, curBin.id)
-      curBin.pending.schedule(t2, r2, notifySeq)
+      if (t2 < curBin.pending.minTime) wakeups.push(t2, curBin.id, null)
+      curBin.pending.push(t2, notifySeq, r2)
       probe.hold(t2)
     }
 
@@ -186,7 +184,7 @@ final class MegaphoneEngine[K, V, O](
 
     def install(t: Long, bin: Bin[K, V, O]): Unit = {
       add(bin)
-      if (!bin.pending.isEmpty) wakeups.schedule(bin.pending.minTime, null, bin.id)
+      if (!bin.pending.isEmpty) wakeups.push(bin.pending.minTime, bin.id, null)
       // Probe holds for the bin's post-dated records persist across the
       // migration (the state message's pointstamp at t <= all pending times
       // kept the frontier from passing them in transit).
@@ -226,13 +224,17 @@ final class MegaphoneEngine[K, V, O](
         wakeups.removeMin()
         val bin = bins(b) // null once the bin migrated away
         if (bin != null && bin.pending.minTime < f) {
-          weight += bin.pending.drainTo(f, due)
-          if (!bin.pending.isEmpty) wakeups.schedule(bin.pending.minTime, null, b)
+          val p = bin.pending
+          while (p.minTime < f) {
+            weight += p.minItem.weight
+            due.push(p.minTime, p.minSeq, p.minItem)
+            p.removeMin()
+          }
+          if (!p.isEmpty) wakeups.push(p.minTime, b, null)
         }
       }
       if (inCount == 0 && due.isEmpty) return
       applyQueued = true
-      due.sort()
 
       // Charged on the batch's total weight: with integer weights and an
       // integer-valued perRecordNs this equals the sum of per-record charges.
@@ -250,7 +252,6 @@ final class MegaphoneEngine[K, V, O](
     private def applyBatch(done: Long): Unit = {
       applyQueued = false
       applying = true
-      curDone = done
       var m = 0 // the input message and its record to apply next
       var i = 0
       while (m < inCount || !due.isEmpty) {
@@ -264,13 +265,12 @@ final class MegaphoneEngine[K, V, O](
             onLatency(math.max(0L, done - (t + cost.epochNs)), math.max(1L, done - t), r.weight)
         } else {
           val t = due.minTime
-          val r = due.minRec
+          val r = due.minItem
           due.removeMin()
           applyOne(t, r)
           probe.release(t) // the post-dated record's hold
         }
       }
-      curRec = null
       curBin = null
       // One release per time, of as many pointstamps as it had messages.
       m = 0
@@ -293,7 +293,6 @@ final class MegaphoneEngine[K, V, O](
         throw new IllegalStateException(
           s"record at time $t with key ${r.key} (bin $binId) reached worker $worker, which does not own the bin")
       curT = t
-      curRec = r
       curBin = bin
       bin.apply(t, r, emit, post)
     }

@@ -76,7 +76,7 @@ object QueryRig {
     def stage[V](logic: BinLogic[Long, V, Out], main: Boolean, out: (Long, Out) => Unit): MegaphoneEngine[Long, V, Out] = {
       val e = new MegaphoneEngine[Long, V, Out](
         sim, cfg.workers, cfg.bins, cfg.cost, logic, binOf,
-        onOutput = (_, t, o, _) => out(t, o),
+        onOutput = out,
         onLatency = if (main) (lo, hi, w) => { hist.addRange(lo, hi, w.toDouble); series.add(sim.now, hi) } else null,
       )
       e.initBins()

@@ -9,8 +9,8 @@ package repro.timely
   * retractions at `t + window`, thus costs O(1) per entry. Nothing is
   * allocated per entry beyond the item itself; the run and the heap's arrays
   * are allocated on the first push that needs them. [[Sim]]'s event queue,
-  * a [[Tracker]]'s times, the engine's notificators and S's input buffer are
-  * instances of it.
+  * a [[Tracker]]'s times, each bin's notificator and S's input buffer,
+  * wake-ups and due set are instances of it.
   */
 class EventHeap[A <: AnyRef] {
   private var times = Array.emptyLongArray

@@ -1,51 +1,51 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.timely.EventHeap
 
+/** A bin's pending post-dated records: §4.3's extended notificator. */
 class NotificatorSpec extends AnyFunSuite {
   private def rec(v: Long) = Rec[Long, Long](0L, v)
+  private def notificator  = new Bin(0, new WordCountRig.SumLogic).pending
 
-  /** Drain `n` below `frontier` through a due set, as S does: the
-    * `(time, value)` pairs in the order S reads them.
+  /** Pop the records strictly below `frontier`, as S does once they fall
+    * due: the `(time, value)` pairs in the order they come out.
     */
-  private def drain(n: Notificator[Long, Long], frontier: Long): Seq[(Long, Long)] = {
-    val due = new Notificator.Due[Long, Long]
-    n.drainTo(frontier, due)
-    due.sort()
+  private def drain(n: EventHeap[Rec[Long, Long]], frontier: Long): Seq[(Long, Long)] = {
     val out = Seq.newBuilder[(Long, Long)]
-    while (!due.isEmpty) { out += ((due.minTime, due.minRec.value)); due.removeMin() }
+    while (n.minTime < frontier) { out += ((n.minTime, n.minItem.value)); n.removeMin() }
     out.result()
   }
 
   test("drain returns triples strictly below the frontier, in time order") {
-    val n = new Notificator[Long, Long]
-    n.schedule(30, rec(3)); n.schedule(10, rec(1)); n.schedule(20, rec(2))
+    val n = notificator
+    n.push(30, 0, rec(3)); n.push(10, 0, rec(1)); n.push(20, 0, rec(2))
     assert(drain(n, 25) == Seq((10L, 1L), (20L, 2L)))
     assert(n.size == 1 && n.minTime == 30L)
   }
 
   test("drain at or below the min time returns nothing") {
-    val n = new Notificator[Long, Long]
-    n.schedule(10, rec(1))
+    val n = notificator
+    n.push(10, 0, rec(1))
     assert(drain(n, 10).isEmpty && n.size == 1)
   }
 
   test("empty notificator has maximal minTime") {
-    val n = new Notificator[Long, Long]
+    val n = notificator
     assert(n.isEmpty && n.minTime == Long.MaxValue)
   }
 
   test("draining below Long.MaxValue empties the queue") {
-    val n = new Notificator[Long, Long]
-    (1 to 5).foreach(i => n.schedule(i.toLong, rec(i.toLong)))
+    val n = notificator
+    (1 to 5).foreach(i => n.push(i.toLong, 0, rec(i.toLong)))
     assert(drain(n, Long.MaxValue).size == 5 && n.isEmpty && n.minTime == Long.MaxValue)
   }
 
   test("many triples maintain heap order (priority-queue internals)") {
     val rng = new scala.util.Random(3)
-    val n   = new Notificator[Long, Long]
+    val n   = notificator
     val ts  = Seq.fill(1000)(rng.nextLong(1_000_000L))
-    ts.foreach(t => n.schedule(t, rec(t)))
+    ts.foreach(t => n.push(t, 0, rec(t)))
     val drained = drain(n, Long.MaxValue).map(_._1)
     assert(drained == ts.sorted)
   }
@@ -130,7 +130,7 @@ class BinSpec extends AnyFunSuite {
   test("sizeBytes includes modeled bytes and pending entries") {
     val b = new Bin[Int, Unit, Unit](0, logic)
     b.modeledBytes = 1000L
-    b.pending.schedule(5L, Rec(1, ()))
+    b.pending.push(5L, 0L, Rec(1, ()))
     assert(b.sizeBytes == 1000L + 64L)
   }
 }

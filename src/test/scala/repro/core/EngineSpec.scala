@@ -76,7 +76,7 @@ object WordCountRig {
       CostModel.keyCount.copy(hiccupEveryNs = 0), // no noise: exact determinism
       logic,
       binOf = k => (k % bins).toInt,
-      onOutput = (_, t, o, _) => outputs += ((t, o._1, o._2)),
+      onOutput = (t, o) => outputs += ((t, o._1, o._2)),
     )
     engine.onApply = (t, k, w) => applied += ((t, k, w))
     engine.initBins()
@@ -196,6 +196,21 @@ class EngineSpec extends AnyFunSuite {
     mig.applications.foreach { case (t, k, w) =>
       assert(mig.routeOf(t, (k % B).toInt) == w)
     }
+  }
+
+  test("post-dated records of several bins due at one time apply after its input, in posting order") {
+    // One worker, so every record of a time applies in one batch: the
+    // epoch's input, then the echoes posted by the previous epoch's input.
+    val r    = drive(1, B, epochs = 12, keys = 20, strategy = None, echo = true)
+    val last = mutable.HashMap.empty[Long, Long]
+    // (time, key, is an echo): an echo (value 0) leaves its key's sum as it was.
+    val applied = r.outputs.map { case (t, k, sum) => val echo = last.get(k).contains(sum); last(k) = sum; (t, k, echo) }
+    val perTime = applied.groupBy(_._1).toSeq.sortBy(_._1).map(_._2)
+    perTime.foreach(os => assert(os.map(_._3) == os.map(_._3).sorted, s"echoes before input at ${os.head._1}"))
+    val inputs = perTime.map(_.filterNot(_._3).map(_._2))
+    val echoes = perTime.map(_.filter(_._3).map(_._2))
+    assert(inputs.init.exists(ks => ks.map(_ % B) != ks.map(_ % B).sorted), "some epoch's input is not in bin order")
+    assert(echoes.head.isEmpty && echoes.tail == inputs.init, "echoes apply in the order they were posted")
   }
 
   test("migration back and forth restores the initial assignment") {

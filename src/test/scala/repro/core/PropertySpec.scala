@@ -5,80 +5,15 @@ import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import scala.collection.mutable
 
-/** Random operation sequences for the notificator heap and the per-bin
-  * state table, each checked against a plain reference model, and random
-  * migrations of the engine, checked against a run without one.
+/** Random operation sequences for the per-bin state table, checked against
+  * a plain reference model, and random migrations of the engine, checked
+  * against a run without one.
   */
 class PropertySpec extends AnyFunSuite {
 
   private def check(p: Prop): Unit = {
     val r = Test.check(Test.Parameters.default.withMinSuccessfulTests(300), p)
     assert(r.passed, Pretty.pretty(r))
-  }
-
-  /** `Some(t)`: schedule at t; `None`: drain below the next generated time. */
-  private val genNotifyOps: Gen[List[(Option[Long], Long)]] =
-    Gen.listOf(for {
-      drain <- Gen.frequency(3 -> false, 1 -> true)
-      t     <- Gen.choose(0L, 20L)
-    } yield (if (drain) None else Some(t), t))
-
-  test("Notificator drains random interleaved schedules in (t, seq) order") {
-    check(Prop.forAll(genNotifyOps) { ops =>
-      val n    = new Notificator[Long, Long]
-      val into = new Notificator.Due[Long, Long]
-      val ref  = mutable.ArrayBuffer.empty[(Long, Long)]
-      var seq  = 0L
-      var ok   = true
-      // Drain below `f` into the reused due set and check the records S reads.
-      def drain(f: Long): Unit = {
-        val due = ref.filter(_._1 < f).sortBy(identity)
-        ref --= due
-        ok &&= n.drainTo(f, into) == due.map(_._2).sum
-        into.sort()
-        ok &&= readDue(into).map(x => (x._1, x._2.value, x._2.weight)) == due.map(x => (x._1, x._2, x._2)).toSeq
-      }
-      ops.foreach {
-        case (Some(t), _) =>
-          seq += 1
-          n.schedule(t, Rec(t, seq, weight = seq), seq)
-          ref += ((t, seq))
-        case (None, f) => drain(f)
-      }
-      drain(Long.MaxValue)
-      ok && ref.isEmpty && n.isEmpty && n.minTime == Long.MaxValue
-    })
-  }
-
-  /** Everything in `due`, in the order it is read. */
-  private def readDue(due: Notificator.Due[Long, Long]): Seq[(Long, Rec[Long, Long])] = {
-    val out = mutable.ArrayBuffer.empty[(Long, Rec[Long, Long])]
-    while (!due.isEmpty) { out += ((due.minTime, due.minRec)); due.removeMin() }
-    out.toSeq
-  }
-
-  test("a due set merges the runs of several notificators into (t, seq) order, batch after batch") {
-    // Per batch: records scheduled on a few bins, then a frontier drained
-    // from the bins in a random order.
-    val genBatch = for {
-      recs     <- Gen.listOf(for { bin <- Gen.choose(0, 5); t <- Gen.choose(0L, 30L) } yield (bin, t))
-      frontier <- Gen.choose(0L, 40L)
-      order    <- Gen.oneOf((0 until 6).permutations.toSeq)
-    } yield (recs, frontier, order)
-    check(Prop.forAll(Gen.listOf(genBatch)) { batches =>
-      val bins = Array.fill(6)(new Notificator[Long, Long])
-      val due  = new Notificator.Due[Long, Long]
-      val ref  = mutable.ArrayBuffer.empty[(Long, Long)]
-      var seq  = 0L
-      batches.forall { case (recs, f, order) =>
-        recs.foreach { case (b, t) => seq += 1; bins(b).schedule(t, Rec(b.toLong, seq, weight = 1L), seq); ref += ((t, seq)) }
-        val weight = order.map(b => if (bins(b).minTime < f) bins(b).drainTo(f, due) else 0L).sum
-        due.sort()
-        val expected = ref.filter(_._1 < f).sortBy(identity).toSeq
-        ref --= expected
-        weight == expected.size && readDue(due).map(x => (x._1, x._2.value)) == expected && due.isEmpty
-      }
-    })
   }
 
   test("BinStates matches a reference map under random inserts and updates") {
